@@ -1,7 +1,6 @@
 #include "cluster/cluster.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "ckpt/serializer.hh"
 #include "kernelc/compile_cache.hh"
@@ -57,9 +56,6 @@ ClusterArray::ClusterArray(const MachineConfig &cfg, Srf &srf)
 {
     for (auto &row : scratchpad_)
         row.fill(0);
-    // Latched here (not in ImagineSystem) so rigs that drive the
-    // cluster array directly honor the escape hatch too.
-    noPredecodeEnv_ = std::getenv("IMAGINE_NO_PREDECODE") != nullptr;
 }
 
 uint32_t
@@ -276,9 +272,9 @@ ClusterArray::bindDerived()
     std::sort(epiOps_.begin(), epiOps_.end(), byTime);
 
     // Bind the pre-decoded micro-op trace (shared process-wide through
-    // the compile cache) unless the interpretive escape hatch is on.
+    // the compile cache) unless the interpretive path is selected.
     low_ = nullptr;
-    if (cfg_.predecode && !noPredecodeEnv_) {
+    if (cfg_.predecode) {
         if (!curBind_->lowered)
             curBind_->lowered =
                 kernelc::CompileCache::instance().lowered(*k);
@@ -556,7 +552,8 @@ ClusterArray::executeFold()
     foldPosMark_ = t_;
     foldStallMark_ = stats_.stallCycles;
     ++foldNext_;
-    return fr.span + estStall;
+    foldLeft_ = fr.span + estStall;
+    return foldLeft_;
 }
 
 void
@@ -1214,6 +1211,12 @@ ClusterArray::retire()
 void
 ClusterArray::tick()
 {
+    // An executed fold already accounted its span; its ticks only count
+    // it off.
+    if (foldLeft_) {
+        --foldLeft_;
+        return;
+    }
     if (phase_ == Phase::Idle || phase_ == Phase::Done)
         return;
     ++kernelCycles_;
@@ -1449,6 +1452,8 @@ ClusterArray::insResident() const
 Cycle
 ClusterArray::nextEventAfter(Cycle now) const
 {
+    if (foldLeft_)
+        return now + foldLeft_ + 1;
     switch (phase_) {
       case Phase::Idle:
       case Phase::Done:
@@ -1545,7 +1550,11 @@ ClusterArray::nextEventAfter(Cycle now) const
 void
 ClusterArray::skipIdle(Cycle from, uint64_t span)
 {
-    (void)from;
+    if (foldLeft_) {
+        IMAGINE_ASSERT(span <= foldLeft_, "skip past a fold's end");
+        foldLeft_ -= span;
+        return;
+    }
     // Fold the counters a skipped tick would have bumped.  Beyond the
     // countdown phases, only op-free schedule positions advertise
     // horizons past now + 1; their ticks increment exactly these

@@ -181,10 +181,15 @@ class ClusterArray : public Component
      * Fold the armed region: replay only its stream traffic through the
      * SRF bulk paths, advance the loop clock by the region's issue span
      * and estimate its stall cycles from the cycle-accurate stratum just
-     * executed.  Returns the wall-cycle span (issue + estimated stall)
-     * the caller must advance the rest of the machine across.
+     * executed.  The resulting wall-cycle span (issue + estimated stall)
+     * is returned and left to run down: the next that many tick()s only
+     * count it off, and nextEventAfter() advertises its end as a
+     * horizon, so the driver advances the rest of the machine across
+     * it with its ordinary tick/skip loop.
      */
     uint64_t executeFold();
+    /** True while an executed fold's span is still running down. */
+    bool folding() const { return foldLeft_ != 0; }
     /** Move the per-kernel fold records out (cleared afterwards). */
     std::vector<KernelFoldRecord> drainFoldReport();
 
@@ -342,12 +347,9 @@ class ClusterArray : public Component
     mutable bool insResident_ = false;
     /**
      * Lowered trace of the current kernel (owned by curBind_), or
-     * nullptr when the interpretive path is active
-     * (cfg.predecode == false or IMAGINE_NO_PREDECODE set).
+     * nullptr when the interpretive path is active (cfg.predecode off).
      */
     const kernelc::LoweredKernel *low_ = nullptr;
-    /** IMAGINE_NO_PREDECODE seen at construction. */
-    bool noPredecodeEnv_ = false;
     /** Row slot epilogue consumers read: (trip-1) & mask (0 if trip 0). */
     uint32_t epiRowSlot_ = 0;
     /** Issue cursors into low_->prologue / low_->epilogue. */
@@ -392,6 +394,9 @@ class ClusterArray : public Component
     double sampleFraction_ = 0.05;
     std::vector<FoldRegion> foldPlan_;  ///< empty: full fidelity
     size_t foldNext_ = 0;               ///< next unexecuted fold region
+    /** Wall cycles of the executed fold not yet run down.  Never set at
+     *  a checkpoint: sampled runs do not checkpoint. */
+    uint64_t foldLeft_ = 0;
     std::vector<LoopStreamOp> foldStreamOps_;
     /** Measurement marks: loop position / stallCycles at the start of
      *  the cycle-accurate stratum feeding the next fold's stall rate. */

@@ -1,7 +1,6 @@
 #include "core/system.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <ctime>
 
 #include "ckpt/report.hh"
@@ -150,17 +149,6 @@ ImagineSystem::ImagineSystem(const MachineConfig &cfg)
       sc_(cfg_, srf_, mem_, clusters_, kernels_), host_(cfg_, sc_),
       components_{&host_, &sc_, &clusters_, &mem_, &srf_}
 {
-    // Global escape hatch: IMAGINE_NO_SKIP=1 disables the event-horizon
-    // fast-forward regardless of what the config asked for, so any
-    // binary (benches included) can be A/B'd without a rebuild.
-    if (getenv("IMAGINE_NO_SKIP"))
-        cfg_.eventDriven = false;
-    // Same pattern for the pre-decoded micro-op engine; the cluster
-    // array also checks the variable itself so rigs that bypass
-    // ImagineSystem honor it, but flipping the config here keeps the
-    // session's view of its own knobs accurate.
-    if (getenv("IMAGINE_NO_PREDECODE"))
-        cfg_.predecode = false;
     if (cfg_.faults.enabled) {
         inj_ = std::make_unique<FaultInjector>(cfg_.faults);
         srf_.setFaultInjector(inj_.get());
@@ -319,21 +307,22 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
             report);
     };
 
-    uint64_t dbgAttempts = 0, dbgSkips = 0, dbgSkipped = 0;
-    uint64_t dbgKill[5] = {};
-    // Attempt-suppression hold (a pure perf heuristic - it can only
-    // reduce skip coverage, never change simulated state): when the
-    // memory system or the SRF arbiter kills an attempt, it is mid-
-    // burst (generating addresses, servicing DRAM, moving words) and
-    // will keep killing until its work surfaces as progress, so re-
-    // querying horizons every no-progress cycle of the burst is wasted
-    // scanning.  Cleared on the next progress cycle, so it only arms
-    // while the cluster array is idle: transfer bursts surface progress
-    // (delivered words) every few cycles, whereas a running kernel
-    // moves no progress counter until it retires and a hold would
-    // wrongly outlive the burst and suppress every later in-kernel
-    // skip.
-    bool skipHold = false;
+    // Called after every tick or skip: a step that made progress (or
+    // ran down folded cycles) moves the watchdog's mark, any other step
+    // may fire it; the cycle limit is checked either way.
+    auto stepped = [&](bool progressed) {
+        if (progressed)
+            lastProgress = cycle_;
+        else if (cycle_ - lastProgress >= cfg_.watchdogStagnationCycles)
+            throwWatchdog();
+        if (cycle_ - start >= cycleLimit)
+            throwLimit();
+    };
+    // Horizon query order, cheapest reject first: a busy cluster array
+    // answers with an O(1) phase check before the O(slots/channels/
+    // clients) scans run.
+    Component *const horizonOrder[] = {&clusters_, &mem_, &sc_, &srf_,
+                                       &host_};
 
     // One-shot restore: session setup (kernel registration, data
     // staging, loadProgram above) replayed normally; now the saved
@@ -354,8 +343,8 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
         if (ord == runIndex) {
             restoreConsumed_ = true;
             restoreCheckpoint(cfg_.restorePath, program, playback,
-                              runIndex, start, lastProgress, skipHold,
-                              trace0, before);
+                              runIndex, start, lastProgress, trace0,
+                              before);
             lastMetric = progress();
             // Component state is restored, but trace bookkeeping (slot
             // track leases, the cluster's per-launch spans) is not
@@ -404,8 +393,8 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
         if (ckptPeriodic && (cycle_ - start) % ckptEvery == 0 &&
             cycle_ != lastCkpt) {
             saveCheckpoint(cfg_.checkpointPath, program, playback,
-                           runIndex, start, lastProgress, skipHold,
-                           trace0, before, nullptr);
+                           runIndex, start, lastProgress, trace0,
+                           before, nullptr);
             lastCkpt = cycle_;
             if (checkpointHook_)
                 checkpointHook_(cycle_ - start, cfg_.checkpointPath);
@@ -414,54 +403,25 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
                         sc_.quiescent() && !clusters_.busy();
         if (finished)
             break;
-        // --- sampled-fidelity fold (DESIGN.md section 12) --------------
-        // The cluster loop sits on a fold-region arm: fold the region
-        // analytically, then advance the rest of the machine across the
-        // returned wall span with a bounded tick/idle-jump loop, so
-        // overlapped memory transfers and host issue progress by
-        // exactly the folded cycles.
-        if (clusters_.foldArmed()) {
-            if (trace_)
-                trace_->setNow(cycle_);
-            Cycle foldFrom = cycle_;
-            uint64_t foldSpan = clusters_.executeFold();
-            Cycle target = cycle_ + foldSpan;
-            while (cycle_ < target) {
-                if (trace_)
-                    trace_->setNow(cycle_);
-                host_.tick(cycle_);
-                sc_.tick(cycle_);
-                mem_.tick(cycle_);
-                srf_.tick();
-                ++cycle_;
-                Cycle now = cycle_ - 1;
-                Cycle h = std::min(
-                    mem_.nextEventAfter(now),
-                    std::min(sc_.nextEventAfter(now),
-                             std::min(srf_.nextEventAfter(now),
-                                      host_.nextEventAfter(now))));
-                h = std::min(h, target);
-                if (h <= cycle_)
-                    continue;
-                uint64_t idle = h - cycle_;
-                host_.skipIdle(cycle_, idle);
-                sc_.skipIdle(cycle_, idle);
-                mem_.skipIdle(cycle_, idle);
-                srf_.skipIdle(cycle_, idle);
-                cycle_ = h;
-            }
-            if (trace_)
-                trace_->mergeSpan(engineTrack_, foldFrom, cycle_,
-                                  "sampled-fold", foldSpan);
-            lastMetric = progress();
-            lastProgress = cycle_;
-            skipHold = false;
-            if (cycle_ - start >= cycleLimit)
-                throwLimit();
-            continue;
-        }
         if (trace_)
             trace_->setNow(cycle_);
+        // --- sampled-fidelity fold (DESIGN.md section 12) --------------
+        // The cluster loop sits on a fold-region arm: fold the region
+        // analytically.  The cluster array then runs the folded span
+        // down as its own horizon, so the tick/skip steps below advance
+        // the rest of the machine across it - overlapped memory
+        // transfers and host issue progress by exactly the folded
+        // cycles - and every folded cycle counts as progress.
+        if (clusters_.foldArmed()) {
+            uint64_t span = clusters_.executeFold();
+            if (trace_) {
+                // Closed at once: the span's end is known, and an open
+                // span would stretch to the run's end at the final flush.
+                trace_->openSpan(engineTrack_, cycle_, "sampled-fold", span);
+                trace_->closeSpan(engineTrack_, cycle_ + span);
+            }
+        }
+        bool folding = clusters_.folding();
         host_.tick(cycle_);
         sc_.tick(cycle_);
         clusters_.tick();
@@ -473,16 +433,8 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
 
         uint64_t m = progress();
         bool progressed = m != lastMetric;
-        if (progressed) {
-            lastMetric = m;
-            lastProgress = cycle_;
-            skipHold = false;
-        } else if (cycle_ - lastProgress >=
-                   cfg_.watchdogStagnationCycles) {
-            throwWatchdog();
-        }
-        if (cycle_ - start >= cycleLimit)
-            throwLimit();
+        lastMetric = m;
+        stepped(progressed || folding);
 
         // --- event-horizon fast-forward (DESIGN.md section 8) ----------
         // When every component promises its next event lies past
@@ -497,40 +449,17 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
         // cycle, so querying horizons there is pure overhead.  At a
         // busy->idle transition this costs exactly one plain tick
         // before the skip engages.
-        if (!cfg_.eventDriven || progressed || skipHold)
+        if (!cfg_.eventDriven || progressed)
             continue;
         if (host_.finished() && sc_.drained() && sc_.quiescent() &&
             !clusters_.busy())
             continue;   // finished; never skip past the exit check
         Cycle now = cycle_ - 1;
-        // Query order is cheapest-reject first: each component bails
-        // the whole attempt as soon as the horizon collapses to the
-        // very next cycle, so a busy cluster array (an O(1) phase
-        // check) short-circuits the O(slots/channels/clients) scans.
-        ++dbgAttempts;
-        Cycle h = clusters_.nextEventAfter(now);
-        if (h <= cycle_) ++dbgKill[0];
-        if (h > cycle_) {
-            h = std::min(h, mem_.nextEventAfter(now));
-            if (h <= cycle_) {
-                ++dbgKill[1];
-                skipHold = !clusters_.busy();
-            }
-        }
-        if (h > cycle_) {
-            h = std::min(h, sc_.nextEventAfter(now));
-            if (h <= cycle_) ++dbgKill[2];
-        }
-        if (h > cycle_) {
-            h = std::min(h, srf_.nextEventAfter(now));
-            if (h <= cycle_) {
-                ++dbgKill[3];
-                skipHold = !clusters_.busy();
-            }
-        }
-        if (h > cycle_) {
-            h = std::min(h, host_.nextEventAfter(now));
-            if (h <= cycle_) ++dbgKill[4];
+        Cycle h = kForever;
+        for (Component *c : horizonOrder) {
+            h = std::min(h, c->nextEventAfter(now));
+            if (h <= cycle_)
+                break;
         }
         h = std::min(h, lastProgress + cfg_.watchdogStagnationCycles);
         h = std::min(h, start + cycleLimit);
@@ -541,10 +470,11 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
                                         ckptEvery);
         if (h <= cycle_)
             continue;
-        ++dbgSkips;
-        dbgSkipped += h - cycle_;
         uint64_t span = h - cycle_;
-        if (trace_) {
+        // A skip inside a fold lies wholly inside it: the cluster array
+        // advertises the fold's end as its horizon.
+        folding = clusters_.folding();
+        if (trace_ && !folding) {
             // One folded region per skip, on the engine track; merged
             // with an adjacent fold of the same cause so long idle
             // stretches stay one span regardless of how many horizon
@@ -566,10 +496,7 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
         if (!clusters_.busy())
             idleCycles_[static_cast<int>(sc_.idleCause())] += span;
         cycle_ = h;
-        if (cycle_ - lastProgress >= cfg_.watchdogStagnationCycles)
-            throwWatchdog();
-        if (cycle_ - start >= cycleLimit)
-            throwLimit();
+        stepped(folding);
     }
     } catch (const SimError &e) {
         runWallSeconds_ += threadSeconds() - wall0;
@@ -585,27 +512,13 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
             try {
                 saveCheckpoint(cfg_.checkpointPath + ".crash", program,
                                playback, runIndex, start, lastProgress,
-                               skipHold, trace0, before, &e);
+                               trace0, before, &e);
             } catch (const SimError &) {
             }
         }
         throw;
     }
     runWallSeconds_ += threadSeconds() - wall0;
-    if (getenv("IMAGINE_SKIP_DEBUG"))
-        fprintf(stderr,
-                "skipdbg: cycles=%llu attempts=%llu skips=%llu "
-                "skipped=%llu kill[clu=%llu mem=%llu sc=%llu srf=%llu "
-                "host=%llu]\n",
-                (unsigned long long)(cycle_ - start),
-                (unsigned long long)dbgAttempts,
-                (unsigned long long)dbgSkips,
-                (unsigned long long)dbgSkipped,
-                (unsigned long long)dbgKill[0],
-                (unsigned long long)dbgKill[1],
-                (unsigned long long)dbgKill[2],
-                (unsigned long long)dbgKill[3],
-                (unsigned long long)dbgKill[4]);
 
     if (trace_) {
         trace_->setNow(cycle_);
@@ -821,7 +734,7 @@ ImagineSystem::saveCheckpoint(const std::string &path,
                               const StreamProgram &program,
                               bool playback, uint64_t runIndex,
                               uint64_t start, Cycle lastProgress,
-                              bool skipHold, size_t trace0,
+                              size_t trace0,
                               const StatsSnapshot &before,
                               const SimError *err) const
 {
@@ -836,7 +749,6 @@ ImagineSystem::saveCheckpoint(const std::string &path,
     s.u64(cycle_);
     s.u64(start);
     s.u64(lastProgress);
-    s.b(skipHold);
     s.u64(trace0);
     // Stat names travel with the values so a restoring session whose
     // registry shape differs (different trace knobs register different
@@ -878,7 +790,7 @@ ImagineSystem::restoreCheckpoint(const std::string &path,
                                  const StreamProgram &program,
                                  bool playback, uint64_t runIndex,
                                  uint64_t &start, Cycle &lastProgress,
-                                 bool &skipHold, size_t &trace0,
+                                 size_t &trace0,
                                  StatsSnapshot &before)
 {
     ckpt::Deserializer d = ckpt::Deserializer::fromFile(
@@ -906,7 +818,6 @@ ImagineSystem::restoreCheckpoint(const std::string &path,
     cycle_ = d.u64();
     start = d.u64();
     lastProgress = d.u64();
-    skipHold = d.b();
     trace0 = static_cast<size_t>(d.u64());
     // Name-matched stats transfer: the writer's registry shape may
     // differ from ours when engine-only knobs diverge - the headline

@@ -261,8 +261,8 @@ class ImagineSystem
     void saveCheckpoint(const std::string &path,
                         const StreamProgram &program, bool playback,
                         uint64_t runIndex, uint64_t start,
-                        Cycle lastProgress, bool skipHold,
-                        size_t trace0, const StatsSnapshot &before,
+                        Cycle lastProgress, size_t trace0,
+                        const StatsSnapshot &before,
                         const SimError *err) const;
     /**
      * Overlay @p path's state after loadProgram() replayed the session
@@ -272,8 +272,8 @@ class ImagineSystem
     void restoreCheckpoint(const std::string &path,
                            const StreamProgram &program, bool playback,
                            uint64_t runIndex, uint64_t &start,
-                           Cycle &lastProgress, bool &skipHold,
-                           size_t &trace0, StatsSnapshot &before);
+                           Cycle &lastProgress, size_t &trace0,
+                           StatsSnapshot &before);
 
     MachineConfig cfg_;
     KernelRegistry kernels_;

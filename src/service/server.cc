@@ -602,13 +602,17 @@ Server::stop()
     reaperStop_.store(true);
     if (reaperThread_.joinable())
         reaperThread_.join();
-    if (listenFd_ >= 0) {
+    // Shutting the listener down wakes accept(); the descriptor is
+    // closed and the field reset only after the accept thread, which
+    // reads it, has exited.
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
+    if (acceptThread_.joinable())
+        acceptThread_.join();
+    if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    if (acceptThread_.joinable())
-        acceptThread_.join();
     {
         std::lock_guard<std::mutex> lk(connMu_);
         for (int fd : connFds_)

@@ -201,8 +201,8 @@ struct MachineConfig
      * linearly; the SRF moves each granted per-cycle word batch as one
      * block.  Results, stats, fault traces and cycle counts are
      * bit-identical to the interpretive path
-     * (tests/predecode_test.cc); off is the escape hatch and the A/B
-     * axis (IMAGINE_NO_PREDECODE=1 for any binary).
+     * (tests/predecode_test.cc); off is the reference path and the
+     * A/B axis.
      */
     bool predecode = true;
     /**

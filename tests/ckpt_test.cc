@@ -8,8 +8,8 @@
  * straight run, and (b) a fresh session restored from a mid-run
  * snapshot finishes with the same byte-identical RunResult - including
  * runs that end in a SimError, which must re-raise the same kind and
- * message.  Plus: serializer primitives round-trip, mismatched restores
- * are rejected, and the bisect search pinpoints an injected fault's
+ * message.  Plus: serializer primitives round-trip, version-skewed
+ * images and mismatched restores are rejected, and the bisect search pinpoints an injected fault's
  * divergence interval deterministically (cross-checked against a
  * linear scan).
  */
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -250,6 +251,30 @@ TEST(CkptTest, TruncatedOrCorruptImageIsRejected)
     std::vector<uint8_t> wrongMagic = image;
     wrongMagic[0] ^= 0xff;
     EXPECT_THROW(ckpt::Deserializer bad(std::move(wrongMagic)), SimError);
+}
+
+TEST(CkptTest, VersionSkewedImageIsRejected)
+{
+    // The header's format version follows the magic; any version but
+    // kVersion - older or newer - is refused before a section is read.
+    ckpt::Serializer s;
+    s.section("x");
+    s.u64(1);
+    const std::vector<uint8_t> image = s.finish();
+    EXPECT_NO_THROW(ckpt::Deserializer ok(image));
+    for (uint32_t v : {ckpt::kVersion - 1, ckpt::kVersion + 1}) {
+        std::vector<uint8_t> skewed = image;
+        std::memcpy(skewed.data() + sizeof(ckpt::kMagic), &v, sizeof(v));
+        try {
+            ckpt::Deserializer bad(std::move(skewed));
+            ADD_FAILURE() << "version " << v << " accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::Fatal);
+            EXPECT_NE(std::string(e.what()).find("format version"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(CkptTest, MismatchedRestoreIsRejected)

@@ -18,6 +18,9 @@
  *    family at trip 4096, pinning the measured error to the bound,
  *  - zero-trip and short-loop (trip <= 2048) bit-identity fallbacks,
  *  - a full-system fidelity x predecode x eventDriven matrix,
+ *  - folded spans counting as forward progress for the watchdog,
+ *  - one engine-track trace span per folded region, and identical
+ *    traced output with and without the event-horizon skip,
  *  - faults / periodic checkpoints forcing full fidelity,
  *  - toJson() schema stability across the four applications,
  *  - trace re-arm after restore: a restored traced run's tail
@@ -184,6 +187,24 @@ stripTrace(const std::string &s)
 {
     size_t i = s.find(",\"trace\":");
     return i == std::string::npos ? s : s.substr(0, i) + "}";
+}
+
+/** Blank the trace analytics' raw record count: the event-horizon
+ *  skip folds idle regions into fewer, longer spans, so the one
+ *  legitimate engine-mode difference is how many records a timeline
+ *  takes. */
+std::string
+maskEventCount(std::string s)
+{
+    const std::string key = "\"events\":";
+    size_t i = s.find(key, s.find(",\"trace\":"));
+    if (i == std::string::npos)
+        return s;
+    size_t j = i + key.size();
+    size_t k = j;
+    while (k < s.size() && s[k] >= '0' && s[k] <= '9')
+        ++k;
+    return s.replace(j, k - j, "#");
 }
 
 /** Drop the ,"fidelity":{...} block (brace-matched: it nests the
@@ -408,6 +429,73 @@ TEST(FidelityTest, EngineModeMatrixLongLoop)
         << "sampled " << sampledRes.cycles << " vs exact "
         << exactCycles;
     EXPECT_LT(err, 0.02);
+}
+
+TEST(FidelityTest, FoldSpanCountsAsWatchdogProgress)
+{
+    // A folded span moves no progress counter of its own - the kernel
+    // issues nothing while the fold runs down and the load it consumes
+    // has completed - yet it is progress: a watchdog tighter than the
+    // longest fold must neither fire nor change the result.
+    for (bool ed : {true, false}) {
+        MachineConfig cfg = MachineConfig::devBoard();
+        cfg.eventDriven = ed;
+        cfg.fidelity = Fidelity::Sampled;
+        RunResult ref = runLongLoop(cfg);
+        ASSERT_EQ(ref.kernelFolds.size(), 1u);
+        ASSERT_EQ(ref.kernelFolds[0].launches, 1u);
+        // One launch folds two regions, so the longer one spans at
+        // least half the folded cycles.
+        cfg.watchdogStagnationCycles = ref.kernelFolds[0].foldedCycles / 4;
+        RunResult tight = runLongLoop(cfg);
+        EXPECT_EQ(tight.toJson(), ref.toJson()) << "eventDriven=" << ed;
+    }
+}
+
+TEST(FidelityTest, TracedFoldsAreOneEngineSpanEach)
+{
+    // A traced Sampled run serializes identically with and without the
+    // event-horizon skip (the raw record count aside - see
+    // maskEventCount), and each executed fold region is exactly one
+    // "sampled-fold" span on the engine track covering its wall span.
+    std::vector<std::string> jsons;
+    for (bool ed : {true, false}) {
+        MachineConfig cfg = MachineConfig::devBoard();
+        cfg.eventDriven = ed;
+        cfg.fidelity = Fidelity::Sampled;
+        cfg.trace = true;
+        ImagineSystem *sys = nullptr;
+        RunResult r = runLongLoop(cfg, &sys);
+        std::unique_ptr<ImagineSystem> owner(sys);
+        ASSERT_NE(r.trace, nullptr);
+        jsons.push_back(maskEventCount(r.toJson()));
+
+        uint64_t launches = 0, foldedCycles = 0;
+        for (const KernelFoldRecord &k : r.kernelFolds) {
+            launches += k.launches;
+            foldedCycles += k.foldedCycles;
+        }
+        ASSERT_GT(launches, 0u);
+        const trace::TraceSink *sink = sys->traceSink();
+        ASSERT_NE(sink, nullptr);
+        uint64_t folds = 0, spanned = 0;
+        Cycle lastEnd = 0;
+        for (const trace::Event &e : sink->events(trace::Engine)) {
+            // Engine spans never overlap: no idle skip is recorded
+            // inside a fold.
+            EXPECT_GE(e.ts, lastEnd) << e.name;
+            lastEnd = e.ts + e.dur;
+            if (std::string(e.name) != "sampled-fold")
+                continue;
+            ++folds;
+            spanned += e.dur;
+            EXPECT_EQ(e.dur, e.a);
+        }
+        // Every folded launch executes both regions of its plan.
+        EXPECT_EQ(folds, 2 * launches) << "eventDriven=" << ed;
+        EXPECT_EQ(spanned, foldedCycles) << "eventDriven=" << ed;
+    }
+    EXPECT_EQ(jsons[0], jsons[1]);
 }
 
 TEST(FidelityTest, FaultsForceFullFidelity)

@@ -80,24 +80,10 @@ struct ClusterRig
         ca.start(&k, ins, outs, explicitTrip);
         cycles = 0;
         while (!ca.done()) {
-            if (ca.foldArmed()) {
-                // Sampled fidelity (enabled via ca.setSampling): fold
-                // the armed region and advance the SRF across the
-                // folded span (idle arbiter ticks are O(1)).
-                uint64_t span = ca.executeFold();
-                cycles += span;
-                // Advance the SRF across the folded span with idle
-                // jumps: ticks with no movable word are foldable.
-                for (uint64_t i = 0; i < span;) {
-                    if (srf.nextEventAfter(0) == kForever) {
-                        srf.skipIdle(0, span - i);
-                        break;
-                    }
-                    srf.tick();
-                    ++i;
-                }
-                continue;
-            }
+            // Sampled fidelity (enabled via ca.setSampling): the folded
+            // span runs down one tick at a time, O(1) each.
+            if (ca.foldArmed())
+                ca.executeFold();
             ca.tick();
             srf.tick();
             ++cycles;
