@@ -143,7 +143,7 @@ ClusterArray::start(const CompiledKernel *k, std::vector<Binding> ins,
         // loop invariants.  A back-to-back restart of the same kernel
         // keeps them live instead.
         values_.assign(static_cast<size_t>(k->graph.nodes.size()) *
-                           depth_ * numClusters,
+                           low_->depth * numClusters,
                        0);
     }
     if (!restart_)
@@ -175,19 +175,16 @@ ClusterArray::bindDerived()
 {
     const CompiledKernel *k = kernel_;
 
-    // Value buffers sized for the deepest software-pipeline overlap.
-    uint32_t need = static_cast<uint32_t>(k->loop.stages()) + 2;
-    depth_ = 1;
-    while (depth_ < need)
-        depth_ <<= 1;
+    // The pre-decoded micro-op trace, shared process-wide through the
+    // compile cache; every table below is read off it.
+    if (!curBind_->lowered)
+        curBind_->lowered = kernelc::CompileCache::instance().lowered(*k);
+    low_ = curBind_->lowered.get();
+    const kernelc::LoweredRegion &L = low_->loop;
 
-    // Issue buckets by cycle-mod-II for the main loop.
-    loopBuckets_.assign(std::max(k->loop.ii, 1), {});
     uint64_t span = 0;
     uint64_t minTime = UINT64_MAX;
     for (const ScheduledOp &s : k->loop.ops) {
-        loopBuckets_[static_cast<size_t>(s.time) % k->loop.ii]
-            .push_back(s);
         span = std::max<uint64_t>(span, static_cast<uint64_t>(s.time) + 1);
         minTime = std::min<uint64_t>(minTime,
                                      static_cast<uint64_t>(s.time));
@@ -201,19 +198,17 @@ ClusterArray::bindDerived()
                      ? 0
                      : (static_cast<uint64_t>(trip_) - 1) * k->loop.ii +
                            kernel_->loop.length;
-    // Steady-state fast path: once every op is past its first issue
+    // Steady-state window: once every op is past its first issue
     // (t >= span - 1) and before any op's final iteration expires
-    // (t < minTime + trip * ii), collectLoopOps keeps the whole bucket,
-    // so tick() may execute the bucket verbatim.
-    bucketHasStream_.assign(loopBuckets_.size(), 0);
-    bucketHasOut_.assign(loopBuckets_.size(), 0);
-    for (size_t b = 0; b < loopBuckets_.size(); ++b) {
-        for (const ScheduledOp &s : loopBuckets_[b]) {
-            Opcode op = k->graph.nodes[s.node].op;
-            if (op == Opcode::In || op == Opcode::Out ||
-                op == Opcode::OutCond)
-                bucketHasStream_[b] = 1;
-            if (op == Opcode::Out || op == Opcode::OutCond)
+    // (t < minTime + trip * ii), every op of a bucket is live.
+    const size_t nb = L.bucketHasStream.size();
+    bucketHasOut_.assign(nb, 0);
+    for (size_t b = 0; b < nb; ++b) {
+        for (uint32_t i = L.bucketBegin[b]; i < L.bucketBegin[b + 1]; ++i) {
+            kernelc::MicroHandler h = L.ops[i].h;
+            if (h == kernelc::MicroHandler::OutLoop ||
+                h == kernelc::MicroHandler::OutEpilogue ||
+                h == kernelc::MicroHandler::OutCond)
                 bucketHasOut_[b] = 1;
         }
     }
@@ -223,8 +218,6 @@ ClusterArray::bindDerived()
     // two laps from the back with the position of the closest hit seen
     // so far leaves, on the second (b < ii) lap, the wrapped distance
     // from b to the next hit strictly ahead.
-    const size_t nb = loopBuckets_.size();
-    nextIssueDelta_.assign(nb, static_cast<uint32_t>(nb));
     nextStreamDelta_.assign(nb, UINT32_MAX);
     nextOutDelta_.assign(nb, UINT32_MAX);
     auto sweep = [nb](auto pred, std::vector<uint32_t> &out) {
@@ -236,9 +229,7 @@ ClusterArray::bindDerived()
                 next = i;
         }
     };
-    sweep([this](size_t b) { return !loopBuckets_[b].empty(); },
-          nextIssueDelta_);
-    sweep([this](size_t b) { return bucketHasStream_[b] != 0; },
+    sweep([&L](size_t b) { return L.bucketHasStream[b] != 0; },
           nextStreamDelta_);
     sweep([this](size_t b) { return bucketHasOut_[b] != 0; },
           nextOutDelta_);
@@ -252,8 +243,6 @@ ClusterArray::bindDerived()
         steadyHi_ = std::max(steadyHi_, steadyLo_);
     }
 
-    proOps_ = k->prologue.ops;
-    epiOps_ = k->epilogue.ops;
     // A zero-trip run of a real loop has no iterations to prime or
     // drain: the prologue/epilogue schedules reference iterations that
     // never execute (their In/Out ops would touch stream elements past
@@ -261,37 +250,8 @@ ClusterArray::bindDerived()
     // the kernel degenerates to startup + one empty loop cycle +
     // shutdown.  Loop-less kernels (trip_ == 0 with no loop ops) keep
     // their prologue: it IS the computation.
-    if (trip_ == 0 && !k->loop.ops.empty()) {
-        proOps_.clear();
-        epiOps_.clear();
-    }
-    auto byTime = [](const ScheduledOp &a, const ScheduledOp &b) {
-        return a.time < b.time;
-    };
-    std::sort(proOps_.begin(), proOps_.end(), byTime);
-    std::sort(epiOps_.begin(), epiOps_.end(), byTime);
-
-    // Bind the pre-decoded micro-op trace (shared process-wide through
-    // the compile cache) unless the interpretive path is selected.
-    low_ = nullptr;
-    if (cfg_.predecode) {
-        if (!curBind_->lowered)
-            curBind_->lowered =
-                kernelc::CompileCache::instance().lowered(*k);
-        low_ = curBind_->lowered.get();
-        IMAGINE_ASSERT(low_->depth == depth_,
-                       "kernel %s: lowered trace depth %u != bind depth "
-                       "%u",
-                       k->name(), low_->depth, depth_);
-    }
-    epiRowSlot_ = trip_ > 0 ? ((trip_ - 1) & (depth_ - 1)) : 0;
-
-    // Per-cycle scratch sized once to the widest issue group.
-    size_t widest = std::max(proOps_.size(), epiOps_.size());
-    for (const auto &bucket : loopBuckets_)
-        widest = std::max(widest, bucket.size());
-    opScratch_.reserve(widest);
-    iterScratch_.reserve(widest);
+    skipBlocks_ = trip_ == 0 && !k->loop.ops.empty();
+    epiRowSlot_ = trip_ > 0 ? ((trip_ - 1) & low_->mask) : 0;
 
     // Sampled-fidelity fold plan (DESIGN.md section 12).  Short loops
     // (trip <= 2048) always run at full fidelity: their steady state is
@@ -306,17 +266,18 @@ ClusterArray::bindDerived()
 void
 ClusterArray::planSampling()
 {
+    using kernelc::MicroHandler;
     const CompiledKernel *k = kernel_;
+    const kernelc::LoweredRegion &L = low_->loop;
     const uint64_t ii = k->loop.ii;
     // Conditional output streams append a data-dependent number of
     // words per iteration; a fold cannot reproduce their element
     // positions without executing the predicate, so such kernels run at
     // full fidelity.  Same for the (theoretical) non-loop-region Out
     // scheduled inside the loop.
-    for (const ScheduledOp &s : k->loop.ops) {
-        const Node &n = k->graph.nodes[s.node];
-        if (n.op == Opcode::OutCond ||
-            (n.op == Opcode::Out && n.region != Region::Loop))
+    for (const kernelc::MicroOp &m : L.ops) {
+        if (m.h == MicroHandler::OutCond ||
+            m.h == MicroHandler::OutEpilogue)
             return;
     }
     // Iteration-aligned steady-state window [lo, hi): every position in
@@ -361,22 +322,19 @@ ClusterArray::planSampling()
     // them per folded position block gives the SRF exactly the
     // consume/produce sequence real execution would, so the
     // stream-buffer window invariants carry over.
-    for (size_t b = 0; b < loopBuckets_.size(); ++b) {
-        for (const ScheduledOp &s : loopBuckets_[b]) {
-            const Node &n = k->graph.nodes[s.node];
-            if (n.op != Opcode::In && n.op != Opcode::Out)
-                continue;
-            LoopStreamOp op;
-            op.isIn = n.op == Opcode::In;
-            op.streamIdx = n.streamIdx;
-            op.rec = op.isIn ? k->graph.inRec[n.streamIdx]
-                             : k->graph.outRec[n.streamIdx];
-            op.elemIdx = n.elemIdx;
-            op.node = op.isIn ? s.node : n.in[0];
-            op.stage = static_cast<uint32_t>(s.time) /
-                       static_cast<uint32_t>(ii);
-            foldStreamOps_.push_back(op);
-        }
+    const uint32_t rows = low_->depth * numClusters;
+    for (size_t i = 0; i < L.ops.size(); ++i) {
+        const kernelc::MicroOp &m = L.ops[i];
+        if (m.h != MicroHandler::In && m.h != MicroHandler::OutLoop)
+            continue;
+        LoopStreamOp op;
+        op.isIn = m.h == MicroHandler::In;
+        op.streamIdx = m.streamIdx;
+        op.rec = m.rec;
+        op.elemIdx = m.elemIdx;
+        op.node = op.isIn ? m.dstBase / rows : m.src[0].node;
+        op.stage = L.stage[i];
+        foldStreamOps_.push_back(op);
     }
 }
 
@@ -448,13 +406,13 @@ ClusterArray::executeFold()
     // O(rows) data synthesis); the boundary tail replays per row so the
     // value rings and stream-buffer windows end exactly where a full
     // per-row replay would, and the tail's per-row asserts double-check
-    // the bulk state.  depth_ ring rows plus the deepest stage skew
+    // the bulk state.  The ring's depth rows plus the deepest stage skew
     // bound how far back post-fold execution can read.
     uint32_t maxStage = 0;
     for (const LoopStreamOp &op : foldStreamOps_)
         maxStage = std::max(maxStage, op.stage);
     const uint64_t tailIters =
-        std::min<uint64_t>(fr.iters, depth_ + maxStage);
+        std::min<uint64_t>(fr.iters, low_->depth + maxStage);
     const uint64_t bulk = fr.iters - tailIters;
     if (bulk) {
         std::vector<Srf::WarpRange> ranges;
@@ -491,17 +449,16 @@ ClusterArray::executeFold()
                      static_cast<uint32_t>(armIter + bulk - op.stage)});
                 // The producer's current ring rows, slot order, as the
                 // tile this op's folded rows are synthesized from.
-                const Word *ring =
-                    &values_[static_cast<size_t>(op.node) * depth_ *
-                             numClusters];
+                const Word *ring = &values_[static_cast<size_t>(op.node) *
+                                            low_->depth * numClusters];
                 tiles.insert(tiles.end(), ring,
-                             ring + static_cast<size_t>(depth_) *
+                             ring + static_cast<size_t>(low_->depth) *
                                         numClusters);
             }
             if (ranges.empty())
                 continue;
             srf_.warpOutBulk(outs_[s].client, rec, ranges.data(),
-                             ranges.size(), tiles.data(), depth_);
+                             ranges.size(), tiles.data(), low_->depth);
             stats_.sbWrites += bulk * numClusters * ranges.size();
         }
     }
@@ -513,10 +470,10 @@ ClusterArray::executeFold()
             uint32_t first =
                 iter * numClusters * op.rec + op.elemIdx;
             if (op.isIn) {
-                Word *dst =
-                    &values_[(static_cast<size_t>(op.node) * depth_ +
-                              (iter & (depth_ - 1))) *
-                             numClusters];
+                Word *dst = &values_[(static_cast<size_t>(op.node) *
+                                          low_->depth +
+                                      (iter & low_->mask)) *
+                                     numClusters];
                 srf_.warpInRow(ins_[op.streamIdx].client, first,
                                op.rec, dst);
                 stats_.sbReads += numClusters;
@@ -620,11 +577,13 @@ ClusterArray::traceKernelStart()
     };
     for (const ScheduledOp &s : kernel_->loop.ops)
         account(s, trip_);
-    if (!skipPrologue_)
-        for (const ScheduledOp &s : proOps_)
+    if (!skipBlocks_) {
+        if (!skipPrologue_)
+            for (const ScheduledOp &s : kernel_->prologue.ops)
+                account(s, 1);
+        for (const ScheduledOp &s : kernel_->epilogue.ops)
             account(s, 1);
-    for (const ScheduledOp &s : epiOps_)
-        account(s, 1);
+    }
     trace_->openSpan(tKernel_, traceKernelStart_,
                      trace_->intern(kernel_->name()), trip_);
     trace_->openSpan(tPhase_, traceKernelStart_, "startup");
@@ -701,181 +660,11 @@ ClusterArray::value(uint32_t id, uint32_t iter, int lane) const
         uint32_t it = (n.region == Region::Loop && trip_ > 0)
                           ? std::min(iter, trip_ - 1)
                           : 0;
-        return values_[(static_cast<size_t>(id) * depth_ +
-                        (it & (depth_ - 1))) *
+        return values_[(static_cast<size_t>(id) * low_->depth +
+                        (it & low_->mask)) *
                            numClusters +
                        static_cast<size_t>(lane)];
       }
-    }
-}
-
-void
-ClusterArray::store(uint32_t id, uint32_t iter, int lane, Word w)
-{
-    const Node &n = kernel_->graph.nodes[id];
-    uint32_t it = (n.region == Region::Loop) ? iter : 0;
-    values_[(static_cast<size_t>(id) * depth_ + (it & (depth_ - 1))) *
-                numClusters +
-            static_cast<size_t>(lane)] = w;
-}
-
-bool
-ClusterArray::cycleCanIssue(
-    const std::vector<const ScheduledOp *> &ops, bool inLoop) const
-{
-    // The iteration index for each op was stashed in the parallel
-    // vector by the caller for loop cycles; epilogue ops use trip_.
-    for (size_t i = 0; i < ops.size(); ++i) {
-        const Node &n = kernel_->graph.nodes[ops[i]->node];
-        uint32_t iter = inLoop ? iterScratch_[i] : trip_;
-        switch (n.op) {
-          case Opcode::In: {
-            uint32_t last = streamElem(iter, numClusters - 1,
-                                       kernel_->graph.inRec[n.streamIdx],
-                                       n.elemIdx);
-            if (!srf_.inReady(ins_[n.streamIdx].client, last))
-                return false;
-            break;
-          }
-          case Opcode::Out: {
-            uint32_t last;
-            if (n.region == Region::Loop) {
-                last = streamElem(iter, numClusters - 1,
-                                  kernel_->graph.outRec[n.streamIdx],
-                                  n.elemIdx);
-            } else {
-                last = trip_ * kernel_->graph.outRec[n.streamIdx] *
-                           numClusters +
-                       n.elemIdx * numClusters + (numClusters - 1);
-            }
-            if (!srf_.outCanAccept(outs_[n.streamIdx].client, last))
-                return false;
-            break;
-          }
-          case Opcode::OutCond: {
-            int client = outs_[n.streamIdx].client;
-            uint32_t pos = srf_.outAppendPos(client);
-            if (!srf_.outCanAccept(client, pos + numClusters - 1))
-                return false;
-            break;
-          }
-          default:
-            break;
-        }
-    }
-    return true;
-}
-
-void
-ClusterArray::executeOp(const ScheduledOp &sop, uint32_t iter, bool inLoop)
-{
-    const Node &n = kernel_->graph.nodes[sop.node];
-    switch (n.op) {
-      case Opcode::In: {
-        uint16_t rec = kernel_->graph.inRec[n.streamIdx];
-        int client = ins_[n.streamIdx].client;
-        for (int lane = 0; lane < numClusters; ++lane) {
-            Word w = srf_.inConsume(client,
-                                    streamElem(iter, lane, rec, n.elemIdx));
-            store(sop.node, iter, lane, w);
-        }
-        stats_.sbReads += numClusters;
-        break;
-      }
-      case Opcode::Out: {
-        uint16_t rec = kernel_->graph.outRec[n.streamIdx];
-        int client = outs_[n.streamIdx].client;
-        for (int lane = 0; lane < numClusters; ++lane) {
-            uint32_t elem;
-            if (n.region == Region::Loop) {
-                elem = streamElem(iter, lane, rec, n.elemIdx);
-            } else {
-                elem = trip_ * rec * numClusters +
-                       n.elemIdx * numClusters +
-                       static_cast<uint32_t>(lane);
-            }
-            srf_.outProduce(client, elem, value(n.in[0], iter, lane));
-        }
-        stats_.sbWrites += numClusters;
-        break;
-      }
-      case Opcode::OutCond: {
-        int client = outs_[n.streamIdx].client;
-        for (int lane = 0; lane < numClusters; ++lane) {
-            if (value(n.in[1], iter, lane)) {
-                srf_.outProduce(client, srf_.outAppendPos(client),
-                                value(n.in[0], iter, lane));
-                ++stats_.sbWrites;
-            }
-        }
-        break;
-      }
-      case Opcode::CommPerm: {
-        Word vals[numClusters];
-        Word src[numClusters];
-        for (int lane = 0; lane < numClusters; ++lane) {
-            vals[lane] = value(n.in[0], iter, lane);
-            src[lane] = value(n.in[1], iter, lane);
-        }
-        for (int lane = 0; lane < numClusters; ++lane)
-            store(sop.node, iter, lane, vals[src[lane] % numClusters]);
-        break;
-      }
-      case Opcode::SpRd: {
-        for (int lane = 0; lane < numClusters; ++lane) {
-            uint32_t addr = value(n.in[0], iter, lane) %
-                            scratchpad_.size();
-            store(sop.node, iter, lane,
-                  scratchpad_[addr][static_cast<size_t>(lane)]);
-        }
-        break;
-      }
-      case Opcode::SpWr: {
-        for (int lane = 0; lane < numClusters; ++lane) {
-            uint32_t addr = value(n.in[0], iter, lane) %
-                            scratchpad_.size();
-            scratchpad_[addr][static_cast<size_t>(lane)] =
-                value(n.in[1], iter, lane);
-        }
-        break;
-      }
-      case Opcode::UcrWr:
-        // Scalar writeback: by convention lane 0's value.
-        ucrs_[n.payload] = value(n.in[0], iter, 0);
-        break;
-      default: {
-        Word in[3] = {0, 0, 0};
-        for (int lane = 0; lane < numClusters; ++lane) {
-            for (int k = 0; k < n.numIn; ++k)
-                in[k] = value(n.in[k], iter, lane);
-            store(sop.node, iter, lane, evalArith(n.op, in));
-        }
-        break;
-      }
-    }
-    (void)inLoop;
-}
-
-void
-ClusterArray::collectLoopOps(uint64_t tl,
-                             std::vector<const ScheduledOp *> &out,
-                             std::vector<uint32_t> &iters) const
-{
-    out.clear();
-    iters.clear();
-    if (tl >= loopWindow_)
-        return;
-    const auto &bucket =
-        loopBuckets_[static_cast<size_t>(tl % kernel_->loop.ii)];
-    for (const ScheduledOp &s : bucket) {
-        if (static_cast<uint64_t>(s.time) > tl)
-            continue;
-        uint64_t iter = (tl - static_cast<uint64_t>(s.time)) /
-                        kernel_->loop.ii;
-        if (iter < trip_) {
-            out.push_back(&s);
-            iters.push_back(static_cast<uint32_t>(iter));
-        }
     }
 }
 
@@ -914,7 +703,7 @@ ClusterArray::resolveSrc(const kernelc::MicroSrc &s, uint32_t iter,
         // row one slot back.  No clamp needed: live loop consumers have
         // iter < trip_, epilogue consumers iter == trip_, so iter - 1
         // never exceeds trip_ - 1.  iter == 0 (init chain / restart
-        // carry-over) falls through to the interpretive walk.
+        // carry-over) falls through to value().
         if (iter > 0)
             return &values_[s.base +
                             ((iter - 1) & low_->mask) * numClusters];
@@ -1225,7 +1014,8 @@ ClusterArray::tick()
       case Phase::Startup:
         ++stats_.startupCycles;
         if (++t_ >= static_cast<uint64_t>(cfg_.kernelStartupCycles)) {
-            phase_ = (skipPrologue_ || proOps_.empty())
+            phase_ = (skipPrologue_ || skipBlocks_ ||
+                      low_->prologue.ops.empty())
                          ? Phase::Loop
                          : Phase::Prologue;
             t_ = 0;
@@ -1242,21 +1032,12 @@ ClusterArray::tick()
         break;
 
       case Phase::Prologue: {
-        if (low_) {
-            const auto &L = low_->prologue;
-            while (proCursor_ < L.ops.size() &&
-                   L.stage[proCursor_] < t_)
-                ++proCursor_;
-            while (proCursor_ < L.ops.size() &&
-                   L.stage[proCursor_] == t_) {
-                execMicro(L.ops[proCursor_], 0, 0);
-                ++proCursor_;
-            }
-        } else {
-            for (const ScheduledOp &s : proOps_) {
-                if (static_cast<uint64_t>(s.time) == t_)
-                    executeOp(s, 0, false);
-            }
+        const auto &L = low_->prologue;
+        while (proCursor_ < L.ops.size() && L.stage[proCursor_] < t_)
+            ++proCursor_;
+        while (proCursor_ < L.ops.size() && L.stage[proCursor_] == t_) {
+            execMicro(L.ops[proCursor_], 0, 0);
+            ++proCursor_;
         }
         ++stats_.prologueCycles;
         if (++t_ >= static_cast<uint64_t>(kernel_->prologue.length)) {
@@ -1287,80 +1068,34 @@ ClusterArray::tick()
             foldPosMark_ = t_;
             foldStallMark_ = stats_.stallCycles;
         }
+        // The stage array filters liveness outside the steady-state
+        // window; the stream check walks only the bucket's contiguous
+        // records.
         size_t b = static_cast<size_t>(t_ % kernel_->loop.ii);
-        if (low_) {
-            // Micro-op path: the stage array filters liveness; the
-            // stream check walks only the bucket's contiguous records.
-            bool steady = t_ >= steadyLo_ && t_ < steadyHi_;
-            if (t_ < loopWindow_ && bucketHasStream_[b] &&
-                !microLoopCanIssue(b, t_ / kernel_->loop.ii,
-                                   !steady)) {
-                ++stats_.stallCycles;
-                if (trace_)
-                    trace_->touchSpan(tStall_, "stall");
-                if (++stallWatchdog_ > 2'000'000) {
-                    IMAGINE_PANIC(
-                        "kernel %s wedged in main loop at t=%llu",
-                        kernel_->name(),
-                        static_cast<unsigned long long>(t_));
-                }
-                break;
+        bool steady = t_ >= steadyLo_ && t_ < steadyHi_;
+        if (t_ < loopWindow_ && low_->loop.bucketHasStream[b] &&
+            !microLoopCanIssue(b, t_ / kernel_->loop.ii, !steady)) {
+            ++stats_.stallCycles;
+            if (trace_)
+                trace_->touchSpan(tStall_, "stall");
+            if (++stallWatchdog_ > 2'000'000) {
+                IMAGINE_PANIC("kernel %s wedged in main loop at t=%llu",
+                              kernel_->name(),
+                              static_cast<unsigned long long>(t_));
             }
-            stallWatchdog_ = 0;
-            execLoopPositionMicro(t_);
-        } else {
-            if (t_ >= steadyLo_ && t_ < steadyHi_) {
-                // Steady state: the bucket needs no time/iteration
-                // filtering, and pure-arithmetic buckets cannot stall.
-                const auto &bucket = loopBuckets_[b];
-                opScratch_.clear();
-                iterScratch_.clear();
-                for (const ScheduledOp &s : bucket) {
-                    opScratch_.push_back(&s);
-                    iterScratch_.push_back(static_cast<uint32_t>(
-                        (t_ - static_cast<uint64_t>(s.time)) /
-                        kernel_->loop.ii));
-                }
-                if (bucketHasStream_[b] &&
-                    !cycleCanIssue(opScratch_, true)) {
-                    ++stats_.stallCycles;
-                    if (trace_)
-                        trace_->touchSpan(tStall_, "stall");
-                    if (++stallWatchdog_ > 2'000'000) {
-                        IMAGINE_PANIC(
-                            "kernel %s wedged in main loop at t=%llu",
-                            kernel_->name(),
-                            static_cast<unsigned long long>(t_));
-                    }
-                    break;
-                }
-            } else {
-                opScratch_.clear();
-                collectLoopOps(t_, opScratch_, iterScratch_);
-                if (!cycleCanIssue(opScratch_, true)) {
-                    ++stats_.stallCycles;
-                    if (trace_)
-                        trace_->touchSpan(tStall_, "stall");
-                    if (++stallWatchdog_ > 2'000'000) {
-                        IMAGINE_PANIC(
-                            "kernel %s wedged in main loop at t=%llu",
-                            kernel_->name(),
-                            static_cast<unsigned long long>(t_));
-                    }
-                    break;
-                }
-            }
-            stallWatchdog_ = 0;
-            for (size_t i = 0; i < opScratch_.size(); ++i)
-                executeOp(*opScratch_[i], iterScratch_[i], true);
+            break;
         }
+        stallWatchdog_ = 0;
+        execLoopPositionMicro(t_);
         ++stats_.loopCycles;
         if (trace_)
             trace_->touchSpan(tIssue_, "issue");
         ++t_;
         if (t_ >= loopTotal_) {
             finishLoopBookkeeping();
-            phase_ = epiOps_.empty() ? Phase::Shutdown : Phase::Epilogue;
+            phase_ = (skipBlocks_ || low_->epilogue.ops.empty())
+                         ? Phase::Shutdown
+                         : Phase::Epilogue;
             if (phase_ == Phase::Epilogue)
                 accountMix(kernel_->epilogueMix, 1);
             t_ = 0;
@@ -1372,46 +1107,26 @@ ClusterArray::tick()
       }
 
       case Phase::Epilogue: {
-        if (low_) {
-            const auto &L = low_->epilogue;
-            size_t begin = epiCursor_;
-            while (begin < L.ops.size() && L.stage[begin] < t_)
-                ++begin;
-            size_t end = begin;
-            while (end < L.ops.size() && L.stage[end] == t_)
-                ++end;
-            if (!microBlockCanIssue(L, begin, end)) {
-                ++stats_.stallCycles;
-                if (trace_)
-                    trace_->touchSpan(tStall_, "stall");
-                if (++stallWatchdog_ > 2'000'000)
-                    IMAGINE_PANIC("kernel %s wedged in epilogue",
-                                  kernel_->name());
-                break;
-            }
-            stallWatchdog_ = 0;
-            for (size_t i = begin; i < end; ++i)
-                execMicro(L.ops[i], trip_, epiRowSlot_);
-            epiCursor_ = end;
-        } else {
-            opScratch_.clear();
-            for (const ScheduledOp &s : epiOps_) {
-                if (static_cast<uint64_t>(s.time) == t_)
-                    opScratch_.push_back(&s);
-            }
-            if (!cycleCanIssue(opScratch_, false)) {
-                ++stats_.stallCycles;
-                if (trace_)
-                    trace_->touchSpan(tStall_, "stall");
-                if (++stallWatchdog_ > 2'000'000)
-                    IMAGINE_PANIC("kernel %s wedged in epilogue",
-                                  kernel_->name());
-                break;
-            }
-            stallWatchdog_ = 0;
-            for (const ScheduledOp *s : opScratch_)
-                executeOp(*s, trip_, false);
+        const auto &L = low_->epilogue;
+        size_t begin = epiCursor_;
+        while (begin < L.ops.size() && L.stage[begin] < t_)
+            ++begin;
+        size_t end = begin;
+        while (end < L.ops.size() && L.stage[end] == t_)
+            ++end;
+        if (!microBlockCanIssue(L, begin, end)) {
+            ++stats_.stallCycles;
+            if (trace_)
+                trace_->touchSpan(tStall_, "stall");
+            if (++stallWatchdog_ > 2'000'000)
+                IMAGINE_PANIC("kernel %s wedged in epilogue",
+                              kernel_->name());
+            break;
         }
+        stallWatchdog_ = 0;
+        for (size_t i = begin; i < end; ++i)
+            execMicro(L.ops[i], trip_, epiRowSlot_);
+        epiCursor_ = end;
         ++stats_.epilogueCycles;
         if (++t_ >= static_cast<uint64_t>(kernel_->epilogue.length)) {
             phase_ = Phase::Shutdown;
@@ -1467,9 +1182,8 @@ ClusterArray::nextEventAfter(Cycle now) const
                       t_);
       case Phase::Loop: {
         // A run of loop positions is batchable (skipIdle executes it
-        // verbatim, with collectLoopOps' time/iteration filtering) when
-        // none of its buckets can stall or produce work for another
-        // component:
+        // verbatim, with the per-position stage filtering) when none of
+        // its buckets can stall or produce work for another component:
         //
         //  - stream-free buckets touch only cluster-private state
         //    (LRFs, scratchpad, UCRs);
@@ -1490,7 +1204,7 @@ ClusterArray::nextEventAfter(Cycle now) const
         uint64_t o;
         if (insResident())
             o = nextOutDelta_[b];
-        else if (!bucketHasStream_[b])
+        else if (!low_->loop.bucketHasStream[b])
             o = nextStreamDelta_[b];
         else
             return now + 1;
@@ -1521,28 +1235,24 @@ ClusterArray::nextEventAfter(Cycle now) const
         // Op-free cycles in the fixed schedules only bump counters;
         // the next event is the first cycle holding an op, or the
         // phase-exit tick (position length - 1).
-        const auto &ops =
-            phase_ == Phase::Prologue ? proOps_ : epiOps_;
+        const std::vector<uint32_t> &times =
+            phase_ == Phase::Prologue ? low_->prologue.stage
+                                      : low_->epilogue.stage;
         uint64_t len = phase_ == Phase::Prologue
                            ? kernel_->prologue.length
                            : kernel_->epilogue.length;
         if (t_ + 1 >= len)
             return now + 1;
-        // ops is sorted by time; find the first op at or after t_.
-        auto it = std::lower_bound(
-            ops.begin(), ops.end(), t_,
-            [](const kernelc::ScheduledOp &s, uint64_t t) {
-                return static_cast<uint64_t>(s.time) < t;
-            });
-        uint64_t next =
-            it == ops.end() ? len - 1 : static_cast<uint64_t>(it->time);
+        // Block stage arrays hold the sorted issue times.
+        auto it = std::lower_bound(times.begin(), times.end(), t_);
+        uint64_t next = it == times.end() ? len - 1 : *it;
         if (next <= t_)
             return now + 1;
         return now + std::min(next, len - 1) - t_ + 1;
       }
       default:
         // Stalled positions are kept per-cycle: predicting stall spans
-        // would re-run cycleCanIssue here, costing what it saves.
+        // would re-run the stream checks here, costing what it saves.
         return now + 1;
     }
 }
@@ -1569,30 +1279,11 @@ ClusterArray::skipIdle(Cycle from, uint64_t span)
         kernelCycles_ += span;
         stats_.shutdownCycles += span;
     } else if (phase_ == Phase::Loop) {
-        // Batch-execute the advertised run with exactly the
-        // time/iteration filtering collectLoopOps applies, so each
-        // skipped position executes what its per-cycle tick would
-        // have.  The horizon guarantees no position can stall.
-        if (low_) {
-            for (uint64_t p = t_; p < t_ + span; ++p)
-                execLoopPositionMicro(p);
-        } else {
-            for (uint64_t p = t_; p < t_ + span; ++p) {
-                if (p >= loopWindow_)
-                    continue;
-                const auto &bucket = loopBuckets_[static_cast<size_t>(
-                    p % kernel_->loop.ii)];
-                for (const ScheduledOp &s : bucket) {
-                    if (static_cast<uint64_t>(s.time) > p)
-                        continue;
-                    uint64_t iter =
-                        (p - static_cast<uint64_t>(s.time)) /
-                        kernel_->loop.ii;
-                    if (iter < trip_)
-                        executeOp(s, static_cast<uint32_t>(iter), true);
-                }
-            }
-        }
+        // Batch-execute the advertised run: each skipped position
+        // executes what its per-cycle tick would have.  The horizon
+        // guarantees no position can stall.
+        for (uint64_t p = t_; p < t_ + span; ++p)
+            execLoopPositionMicro(p);
         t_ += span;
         kernelCycles_ += span;
         stats_.loopCycles += span;

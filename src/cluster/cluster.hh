@@ -200,18 +200,11 @@ class ClusterArray : public Component
         Done
     };
 
-    struct LoopOpRef
-    {
-        uint32_t node;
-        int time;
-    };
-
     /**
      * Re-derive every launch table that is a pure function of the bound
-     * kernel, trip count, config and bind-cache entry: value-buffer
-     * depth, issue buckets, loop extents, steady-state window, sweep
-     * tables, sorted prologue/epilogue schedules, the lowered micro-op
-     * trace and scratch reserves.  Called by start() at launch and by
+     * kernel, trip count, config and bind-cache entry: the lowered
+     * micro-op trace, loop extents, steady-state window, sweep tables
+     * and the fold plan.  Called by start() at launch and by
      * loadState() after a restore (the lowered trace is re-fetched from
      * the process-wide CompileCache rather than serialized, so a
      * restored run rebinds deterministically).
@@ -225,20 +218,13 @@ class ClusterArray : public Component
      * cost collapses to a flag test once the fetch phase completes.
      */
     bool insResident() const;
-    /** Fetch the value of node @p id for consumer iteration @p iter. */
+    /**
+     * Value of node @p id for consumer iteration @p iter, walked through
+     * the graph: the operands the lowering leaves unresolved (Generic
+     * sources, AccNext at iteration 0), the fold's output tail and the
+     * accumulator finals.
+     */
     Word value(uint32_t id, uint32_t iter, int lane) const;
-    /** Store a computed value. */
-    void store(uint32_t id, uint32_t iter, int lane, Word w);
-
-    /** True if every op issuing this loop/epilogue cycle can proceed. */
-    bool cycleCanIssue(const std::vector<const kernelc::ScheduledOp *>
-                           &ops, bool inLoop) const;
-    /** Execute one op for all lanes. */
-    void executeOp(const kernelc::ScheduledOp &sop, uint32_t iter,
-                   bool inLoop);
-    void collectLoopOps(uint64_t tl,
-                        std::vector<const kernelc::ScheduledOp *> &out,
-                        std::vector<uint32_t> &iters) const;
     uint32_t streamElem(uint32_t iter, int lane, uint16_t rec,
                         uint16_t elemIdx) const;
     void accountMix(const kernelc::OpMix &mix, uint64_t times);
@@ -276,11 +262,8 @@ class ClusterArray : public Component
     uint64_t kernelCycles_ = 0; ///< cycles since start()
     bool restart_ = false;
 
-    uint32_t depth_ = 1;        ///< value-buffer depth (power of two)
-    std::vector<Word> values_;  ///< [node][iter % depth][lane]
+    std::vector<Word> values_;  ///< [node][iter & mask][lane]
     std::vector<std::array<Word, numClusters>> scratchpad_;
-    std::vector<std::vector<kernelc::ScheduledOp>> loopBuckets_;
-    std::vector<kernelc::ScheduledOp> proOps_, epiOps_;  // time-sorted
     /**
      * Per-kernel bind-time state: run history (Restart guard), saved
      * accumulator finals for restart carry-over, the shared lowered
@@ -303,25 +286,18 @@ class ClusterArray : public Component
     KernelBind *curBind_ = nullptr;
     const kernelc::CompiledKernel *lastKernel_ = nullptr;
     bool skipPrologue_ = false;
+    /** Zero-trip launch of a real loop: no prologue or epilogue. */
+    bool skipBlocks_ = false;
     uint64_t loopWindow_ = 0;   ///< total issue window of the main loop
     uint64_t loopTotal_ = 0;    ///< main-loop cycle count for this launch
     /**
      * Steady-state window [steadyLo_, steadyHi_): loop cycles where
      * every bucket op is live (past its first issue, before its last
-     * iteration retires), so the per-cycle time/iteration filtering in
-     * collectLoopOps is a no-op and the bucket executes verbatim.
+     * iteration retires), so the stream check needs no per-op stage
+     * filtering.
      */
     uint64_t steadyLo_ = 0;
     uint64_t steadyHi_ = 0;
-    /** Buckets containing In/Out/OutCond ops (need cycleCanIssue). */
-    std::vector<uint8_t> bucketHasStream_;
-    /**
-     * Forward distance (1..ii) from bucket b to the next non-empty
-     * bucket, for the empty-bucket loop horizon: an empty bucket issues
-     * nothing at any loop position, so ticks landing on one are pure
-     * counter increments that skipIdle can fold.
-     */
-    std::vector<uint32_t> nextIssueDelta_;
     /**
      * Forward distance from bucket b to the next bucket holding an
      * In/Out/OutCond op (UINT32_MAX when no bucket does).  Inside the
@@ -345,18 +321,12 @@ class ClusterArray : public Component
     uint64_t stallWatchdog_ = 0;
     /** Latched insResident() result for the current launch. */
     mutable bool insResident_ = false;
-    /**
-     * Lowered trace of the current kernel (owned by curBind_), or
-     * nullptr when the interpretive path is active (cfg.predecode off).
-     */
+    /** Lowered trace of the current kernel (owned by curBind_). */
     const kernelc::LoweredKernel *low_ = nullptr;
     /** Row slot epilogue consumers read: (trip-1) & mask (0 if trip 0). */
     uint32_t epiRowSlot_ = 0;
     /** Issue cursors into low_->prologue / low_->epilogue. */
     size_t proCursor_ = 0, epiCursor_ = 0;
-    /** Per-cycle scratch (avoids per-tick allocation). */
-    mutable std::vector<const kernelc::ScheduledOp *> opScratch_;
-    mutable std::vector<uint32_t> iterScratch_;
 
     // --- sampled fidelity (DESIGN.md section 12) ----------------------
     /** One analytically folded region of the current launch's loop. */

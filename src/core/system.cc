@@ -41,8 +41,8 @@ fnv1a64(const void *p, size_t n, uint64_t h)
 
 /**
  * Hash every config field with architectural effect.  Deliberately
- * excluded: the engine knobs proven bit-identical across settings
- * (eventDriven, predecode), the trace sink (a read-only observer) and
+ * excluded: the engine knob proven bit-identical across settings
+ * (eventDriven), the trace sink (a read-only observer) and
  * the checkpoint knobs themselves - a restored run may legitimately
  * checkpoint elsewhere, and restore across engine modes is a supported
  * (and tested) use.

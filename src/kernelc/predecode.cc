@@ -128,15 +128,14 @@ LoweredKernel
 lower(const CompiledKernel &k)
 {
     LoweredKernel L;
-    // Same depth derivation as the cluster array's bind.
+    // Value buffers sized for the deepest software-pipeline overlap.
     uint32_t need = static_cast<uint32_t>(k.loop.stages()) + 2;
     L.depth = 1;
     while (L.depth < need)
         L.depth <<= 1;
     L.mask = L.depth - 1;
 
-    // Loop: bucket-major, preserving the interpretive bucket build
-    // order (k.loop.ops order within each bucket).
+    // Loop: bucket-major, k.loop.ops order within each bucket.
     const uint32_t ii = static_cast<uint32_t>(std::max(k.loop.ii, 1));
     std::vector<std::vector<ScheduledOp>> buckets(ii);
     for (const ScheduledOp &s : k.loop.ops)
@@ -157,11 +156,10 @@ lower(const CompiledKernel &k)
     }
     L.loop.bucketBegin[ii] = static_cast<uint32_t>(L.loop.ops.size());
 
-    // Blocks: lowered in the order the cluster array executes them.
-    // It sorts with std::sort, whose permutation of equal-time ops is
-    // implementation-defined; running the identical sort on identical
-    // input reproduces it, keeping same-cycle op order (conditional
-    // appends, scratchpad accesses) bit-exact across both paths.
+    // Blocks: sorted by issue time.  std::sort's permutation of
+    // equal-time ops is implementation-defined but fixed for identical
+    // input, so same-cycle op order (conditional appends, scratchpad
+    // accesses) is the one the pinned counters were recorded with.
     auto lowerBlock = [&](const BlockSchedule &blk, LoweredRegion &out) {
         std::vector<ScheduledOp> ops = blk.ops;
         std::sort(ops.begin(), ops.end(),

@@ -2,13 +2,13 @@
  * @file
  * Kernel-bind-time lowering to a pre-decoded micro-op trace.
  *
- * The cluster array's interpretive path re-derives per cycle what is
- * static per kernel: it walks `ScheduledOp`s, switches on the graph
- * node's `Opcode`, and resolves every operand through a recursive
- * `value()` that switches again per operand per lane.  The lowering
- * pass here runs once per (kernel, schedule) and compiles all three
- * regions — prologue, loop buckets, epilogue — into flat, contiguous
- * `MicroOp` records:
+ * Interpreting a schedule re-derives per cycle what is static per
+ * kernel: walking `ScheduledOp`s, switching on the graph node's
+ * `Opcode`, and resolving every operand through a recursive graph walk
+ * that switches again per operand per lane.  The lowering pass here
+ * runs once per (kernel, schedule) and compiles all three regions —
+ * prologue, loop buckets, epilogue — into flat, contiguous `MicroOp`
+ * records, which are all the cluster array executes:
  *
  *  - a dense `MicroHandler` index replaces the `Opcode` switch; every
  *    pure-arith opcode gets its own handler whose 8-lane loop inlines
@@ -27,9 +27,9 @@
  * stream bindings or restart state — those resolve at execution), so
  * it is shared process-wide through the compile cache
  * (CompileCache::lowered) under the same fingerprint discipline as the
- * schedules.  Execution semantics live in cluster/cluster.cc; the
- * interpretive path remains available behind `cfg.predecode = false`
- * and is bit-identical by construction (tests/predecode_test.cc).
+ * schedules.  Execution semantics live in cluster/cluster.cc;
+ * tests/predecode_test.cc checks them against the ReferenceInterp
+ * oracle and against pinned cycles and counters.
  */
 
 #ifndef IMAGINE_KERNELC_PREDECODE_HH
@@ -74,7 +74,7 @@ enum class MicroSrcKind : uint8_t
     AccNext,   ///< accumulator: prior iteration of `base`'s row;
                ///< iteration 0 falls back to the generic resolver
                ///< (restart carry-over / init chain)
-    Generic    ///< full interpretive value() walk of node `node`
+    Generic    ///< graph walk of node `node` (ClusterArray::value)
 };
 
 /** One pre-resolved micro-op input. */
@@ -125,10 +125,10 @@ struct LoweredKernel
 };
 
 /**
- * Lower @p k's three scheduled regions.  Deterministic, and replicates
- * the cluster array's op ordering exactly (bucket construction order
- * for the loop; the same std::sort-by-time for the blocks), so the
- * micro engine executes ops in the interpretive path's order.
+ * Lower @p k's three scheduled regions.  Deterministic: loop records
+ * keep `k.loop.ops` order within each bucket, and block records are
+ * sorted by issue time with std::sort, so same-cycle op order is fixed
+ * for a given standard library.
  */
 LoweredKernel lower(const CompiledKernel &k);
 

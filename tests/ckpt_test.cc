@@ -40,8 +40,8 @@ constexpr int kSeedsPerApp = 24;
 /**
  * Machine shape, engine mode and fault plan for one differential seed:
  * three shapes (dev board, isim, dev board with a single-entry bind
- * cache to force rebinds across restore), all four eventDriven x
- * predecode engine modes, chaos-style faults with the ECC mode cycled.
+ * cache to force rebinds across restore), both eventDriven engine
+ * modes, chaos-style faults with the ECC mode cycled.
  */
 MachineConfig
 shapeFor(int seed)
@@ -60,7 +60,6 @@ shapeFor(int seed)
         break;
     }
     cfg.eventDriven = (seed % 4) < 2;
-    cfg.predecode = (seed % 2) == 0;
     cfg.faults.enabled = true;
     cfg.faults.seed = 0x5eed7ull * 1000 + static_cast<uint64_t>(seed);
     cfg.faults.srfFlipRate = 1e-4;

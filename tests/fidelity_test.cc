@@ -17,7 +17,7 @@
  *  - a cluster+SRF differential rig over every app/library kernel
  *    family at trip 4096, pinning the measured error to the bound,
  *  - zero-trip and short-loop (trip <= 2048) bit-identity fallbacks,
- *  - a full-system fidelity x predecode x eventDriven matrix,
+ *  - a full-system fidelity x eventDriven matrix,
  *  - folded spans counting as forward progress for the watchdog,
  *  - one engine-track trace span per folded region, and identical
  *    traced output with and without the event-horizon skip,
@@ -377,30 +377,25 @@ TEST(FidelityTest, ShortLoopFallbackBitIdentical)
 
 TEST(FidelityTest, EngineModeMatrixLongLoop)
 {
-    // fidelity x predecode x eventDriven: the four Cycle arms must be
-    // byte-identical with no "fidelity" key; the four Sampled arms must
-    // be byte-identical to each other (the fold replays through the
-    // same value buffers both engines maintain) and within the declared
-    // error bound of the Cycle arms.
+    // fidelity x eventDriven: the two Cycle arms must be byte-identical
+    // with no "fidelity" key; the two Sampled arms must be
+    // byte-identical to each other and within the declared error bound
+    // of the Cycle arms.
     std::vector<std::string> cycleJson, sampledJson;
     uint64_t exactCycles = 0;
     RunResult sampledRes;
     for (bool ed : {true, false}) {
-        for (bool pd : {true, false}) {
-            for (int fi = 0; fi < 2; ++fi) {
-                MachineConfig cfg = MachineConfig::devBoard();
-                cfg.eventDriven = ed;
-                cfg.predecode = pd;
-                cfg.fidelity =
-                    fi ? Fidelity::Sampled : Fidelity::Cycle;
-                RunResult r = runLongLoop(cfg);
-                if (fi) {
-                    sampledJson.push_back(r.toJson());
-                    sampledRes = r;
-                } else {
-                    cycleJson.push_back(r.toJson());
-                    exactCycles = r.cycles;
-                }
+        for (int fi = 0; fi < 2; ++fi) {
+            MachineConfig cfg = MachineConfig::devBoard();
+            cfg.eventDriven = ed;
+            cfg.fidelity = fi ? Fidelity::Sampled : Fidelity::Cycle;
+            RunResult r = runLongLoop(cfg);
+            if (fi) {
+                sampledJson.push_back(r.toJson());
+                sampledRes = r;
+            } else {
+                cycleJson.push_back(r.toJson());
+                exactCycles = r.cycles;
             }
         }
     }
@@ -722,15 +717,14 @@ struct SweepOutcome
 SweepOutcome
 sweepSeed(int seed)
 {
-    // Rotate machine shape, engine mode, fraction and kernel family so
-    // sixteen seeds cover the bandwidth/buffer corners that move the
-    // stall rate the estimator extrapolates.
+    // Rotate machine shape, fraction and kernel family so sixteen seeds
+    // cover the bandwidth/buffer corners that move the stall rate the
+    // estimator extrapolates.
     MachineConfig cfg = bigRigConfig();
     static const int bw[4] = {16, 8, 4, 32};
     static const int sb[2] = {16, 32};
     cfg.srfBandwidthWordsPerCycle = bw[seed % 4];
     cfg.streamBufferWords = sb[(seed / 4) % 2];
-    cfg.predecode = (seed % 2) == 0;
     static const char *fams[4] = {"conv7x7", "dct8x8", "panelAxpy",
                                   "srfCopy"};
     const std::string want = fams[(seed / 2) % 4];

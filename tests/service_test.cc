@@ -286,6 +286,11 @@ TEST(ServiceProtocolTest, ValidatesRequests)
                   "{\"op\":\"run\",\"workload\":\"qrd\","
                   "\"config\":{\"warpFactor\":9}}"),
               "bad-request");
+    // The engine has one cluster executor: no knob selects another.
+    EXPECT_EQ(protocolErrorCode(
+                  "{\"op\":\"run\",\"workload\":\"qrd\","
+                  "\"config\":{\"predecode\":false}}"),
+              "bad-request");
     EXPECT_EQ(protocolErrorCode(
                   "{\"op\":\"run\",\"workload\":\"qrd\","
                   "\"weight\":0}"),
@@ -348,10 +353,36 @@ slowPayload(const std::string &extra = "")
 }
 
 uint64_t
-queueDepthOf(const std::string &statsResponse)
+queueDepthOf(const json::Value &stats)
 {
-    json::Value v = json::parse(statsResponse);
-    return v.get("queueDepth")->asU64();
+    return stats.get("queueDepth")->asU64();
+}
+
+uint64_t
+acceptedOf(const json::Value &stats)
+{
+    return stats.get("stats")->get("service")->get("accepted")->asU64();
+}
+
+/**
+ * Poll the server's stats until @p done holds for them.  There is no
+ * time budget: a state that never comes hangs the test until the ctest
+ * timeout reports it, rather than letting it run on against the wrong
+ * state.
+ */
+template <typename Done>
+void
+awaitStats(Client &control, Done done)
+{
+    while (!done(json::parse(control.call("{\"op\":\"stats\"}"))))
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+/** Admitted and dequeued: the single worker is running the job. */
+bool
+firstJobRunning(const json::Value &stats)
+{
+    return acceptedOf(stats) >= 1 && queueDepthOf(stats) == 0;
 }
 
 } // namespace
@@ -468,15 +499,7 @@ TEST(ServiceE2ETest, CancelByTagAbortsARunningJob)
     });
     // Wait until the job is running (out of the queue), then cancel.
     Client control(spec);
-    for (int i = 0; i < 500; ++i) {
-        std::string stats = control.call("{\"op\":\"stats\"}");
-        json::Value v = json::parse(stats);
-        if (queueDepthOf(stats) == 0 &&
-            v.get("stats")->get("service")->get("accepted")->asU64() >=
-                1)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
+    awaitStats(control, firstJobRunning);
     std::string cancelResp =
         control.call("{\"op\":\"cancel\",\"tag\":\"victim\"}");
     EXPECT_EQ(cancelResp.rfind("{\"ok\":true", 0), 0u) << cancelResp;
@@ -521,20 +544,14 @@ TEST(ServiceE2ETest, AdmissionQueueBoundsAndDrainStateMachine)
         return c.call(slowPayload());
     });
     Client control(spec);
-    for (int i = 0; i < 500; ++i) {
-        if (queueDepthOf(control.call("{\"op\":\"stats\"}")) == 0)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
+    awaitStats(control, firstJobRunning);
     auto queued = std::async(std::launch::async, [&] {
         Client c(spec);
         return c.call(slowPayload());
     });
-    for (int i = 0; i < 500; ++i) {
-        if (queueDepthOf(control.call("{\"op\":\"stats\"}")) == 1)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
+    awaitStats(control, [](const json::Value &stats) {
+        return queueDepthOf(stats) == 1;
+    });
     // Queue slot taken: the third concurrent run is rejected, with a
     // structured queue-full error.
     std::string full = control.call(runPayload("t", 1));

@@ -14,8 +14,8 @@
  *  - well-formedness of the raw buffers and the Perfetto export,
  *  - Fig. 12 cross-check: trace-derived utilization numerators agree
  *    with the counter-based ones within 1%, span coverage >= 95%,
- *  - identical analytics under every engine mode (eventDriven x
- *    predecode),
+ *  - identical analytics under both engine modes (eventDriven on and
+ *    off),
  *  - graceful degradation when the event cap is hit.
  */
 
@@ -439,29 +439,23 @@ TEST(TraceTest, Fig12CrossCheckDepth)
 TEST(TraceTest, EngineModeDifferential)
 {
     // The analytics must not depend on how the engine got through the
-    // timeline: per-cycle vs. event-horizon fast-forward, interpreted
-    // vs. pre-decoded kernels.  All four combinations must produce the
-    // same RunResult JSON including the embedded trace analytics (the
-    // raw record count is masked - see maskEventCount).
+    // timeline: per-cycle vs. event-horizon fast-forward.  Both modes
+    // must produce the same RunResult JSON including the embedded trace
+    // analytics (the raw record count is masked - see maskEventCount).
     std::vector<std::string> jsons;
     std::vector<std::string> labels;
     for (bool ed : {true, false}) {
-        for (bool pd : {true, false}) {
-            MachineConfig cfg = MachineConfig::devBoard();
-            cfg.trace = true;
-            cfg.eventDriven = ed;
-            cfg.predecode = pd;
-            ImagineSystem sys(cfg);
-            apps::AppResult r = runDepthSmall(sys);
-            EXPECT_TRUE(r.validated);
-            ASSERT_NE(r.run.trace, nullptr);
-            uint64_t busy = r.run.cluster.busyTotal();
-            EXPECT_GE(r.run.trace->clusterBusyCycles * 100, busy * 95);
-            jsons.push_back(maskEventCount(r.run.toJson()));
-            labels.push_back(std::string("eventDriven=") +
-                             (ed ? "1" : "0") + " predecode=" +
-                             (pd ? "1" : "0"));
-        }
+        MachineConfig cfg = MachineConfig::devBoard();
+        cfg.trace = true;
+        cfg.eventDriven = ed;
+        ImagineSystem sys(cfg);
+        apps::AppResult r = runDepthSmall(sys);
+        EXPECT_TRUE(r.validated);
+        ASSERT_NE(r.run.trace, nullptr);
+        uint64_t busy = r.run.cluster.busyTotal();
+        EXPECT_GE(r.run.trace->clusterBusyCycles * 100, busy * 95);
+        jsons.push_back(maskEventCount(r.run.toJson()));
+        labels.push_back(std::string("eventDriven=") + (ed ? "1" : "0"));
     }
     for (size_t i = 1; i < jsons.size(); ++i)
         EXPECT_EQ(jsons[i], jsons[0])
