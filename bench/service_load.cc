@@ -261,24 +261,41 @@ main()
     // Cancel phase: one tagged paper-sized job, canceled mid-run.
     // ------------------------------------------------------------------
     std::fprintf(stderr, "service_load: cancel phase...\n");
-    std::future<std::string> victim =
-        std::async(std::launch::async, [&] {
-            Client c(addr);
-            return c.call("{\"op\":\"run\",\"workload\":\"qrd\","
-                          "\"tenant\":\"alice\",\"tag\":\"victim\","
-                          "\"seed\":1}");
-        });
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    auto accepted = [](const json::Value &stats) {
+        return u64At(stats, {"stats", "service", "accepted"});
+    };
     {
         Client c(addr);
+        const uint64_t acceptedBefore =
+            accepted(json::parse(c.call("{\"op\":\"stats\"}")));
+        std::future<std::string> victim =
+            std::async(std::launch::async, [&] {
+                Client vc(addr);
+                return vc.call(
+                    "{\"op\":\"run\",\"workload\":\"qrd\","
+                    "\"tenant\":\"alice\",\"tag\":\"victim\","
+                    "\"seed\":1}");
+            });
+        // Cancel only once the victim is admitted and out of the (else
+        // empty) queue, i.e. running on a worker: a fixed sleep races a
+        // fast simulator to the victim's finish.
+        while (true) {
+            json::Value stats = json::parse(c.call("{\"op\":\"stats\"}"));
+            if (accepted(stats) > acceptedBefore &&
+                u64At(stats, {"queueDepth"}) == 0)
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
         std::string resp =
             c.call("{\"op\":\"cancel\",\"tag\":\"victim\"}");
         check(resp.find("\"canceled\":true") != std::string::npos,
               "cancel op did not find the tagged job: " + resp);
+        std::string victimResp = victim.get();
+        check(victimResp.find("\"code\":\"canceled\"") !=
+                  std::string::npos,
+              "victim job did not report the canceled code: " +
+                  victimResp);
     }
-    std::string victimResp = victim.get();
-    check(victimResp.find("\"code\":\"canceled\"") != std::string::npos,
-          "victim job did not report the canceled code: " + victimResp);
 
     // ------------------------------------------------------------------
     // Drain phase: submitters race the drain; nothing may be lost.

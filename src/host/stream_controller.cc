@@ -103,14 +103,67 @@ StreamController::beginProgram(const StreamProgram &program)
 {
     IMAGINE_ASSERT(slots_.empty(), "beginProgram with busy scoreboard");
     program_ = &program;
-    done_.assign(program.instrs.size(), 0);
+    const size_t n = program.instrs.size();
+    done_.assign(n, 0);
+    // Reverse the compiler-encoded dependency edges once per program,
+    // so a completion resolves exactly its dependents' counts.
+    dependentsBegin_.assign(n + 1, 0);
+    for (const StreamInstr &si : program.instrs)
+        for (uint32_t d : si.deps)
+            ++dependentsBegin_[d + 1];
+    for (size_t i = 0; i < n; ++i)
+        dependentsBegin_[i + 1] += dependentsBegin_[i];
+    dependents_.resize(dependentsBegin_[n]);
+    std::vector<uint32_t> fill(dependentsBegin_.begin(),
+                               dependentsBegin_.end() - 1);
+    for (size_t j = 0; j < n; ++j)
+        for (uint32_t d : program.instrs[j].deps)
+            dependents_[fill[d]++] = static_cast<uint32_t>(j);
+    countPendingDeps();
+    inFlight_.clear();
+    ownNext_ = kForever;
+    dirty_ = true;
+}
+
+void
+StreamController::countPendingDeps()
+{
+    const std::vector<StreamInstr> &instrs = program_->instrs;
+    pendingDeps_.assign(instrs.size(), 0);
+    pendingMemDeps_.assign(instrs.size(), 0);
+    for (size_t j = 0; j < instrs.size(); ++j) {
+        for (uint32_t d : instrs[j].deps) {
+            if (done_[d])
+                continue;
+            ++pendingDeps_[j];
+            if (isMemOp(instrs[d].kind))
+                ++pendingMemDeps_[j];
+        }
+    }
+}
+
+void
+StreamController::markDone(uint32_t idx)
+{
+    if (done_[idx])
+        return;
+    done_[idx] = 1;
+    const bool mem = isMemOp(program_->instrs[idx].kind);
+    for (uint32_t k = dependentsBegin_[idx]; k < dependentsBegin_[idx + 1];
+         ++k) {
+        uint32_t j = dependents_[k];
+        --pendingDeps_[j];
+        if (mem)
+            --pendingMemDeps_[j];
+    }
 }
 
 void
 StreamController::retireHostSide(uint32_t idx, StreamOpKind kind)
 {
     IMAGINE_ASSERT(idx < done_.size(), "retire out of range");
-    done_[idx] = 1;
+    markDone(idx);
+    dirty_ = true;
     ++stats_.instrsRetired;
     ++stats_.kindCount[static_cast<int>(kind)];
 }
@@ -145,21 +198,13 @@ StreamController::enqueue(uint32_t idx, const StreamInstr *instr)
         }
     }
     slots_.push_back(std::move(s));
+    dirty_ = true;
 }
 
 bool
 StreamController::instrDone(uint32_t idx) const
 {
     return done_[idx] != 0;
-}
-
-bool
-StreamController::depsSatisfied(const Slot &s) const
-{
-    for (uint32_t d : s.instr->deps)
-        if (!done_[d])
-            return false;
-    return true;
 }
 
 bool
@@ -229,6 +274,7 @@ void
 StreamController::dispatch(Slot &s, Cycle now)
 {
     (void)now;
+    dirty_ = true;
     const StreamInstr &si = *s.instr;
     switch (si.kind) {
       case StreamOpKind::SdrWrite:
@@ -322,6 +368,7 @@ StreamController::dispatch(Slot &s, Cycle now)
 void
 StreamController::complete(Slot &s)
 {
+    dirty_ = true;
     // Injected stuck-completion fault: the op finished on its resource
     // but the scoreboard never sees the completion signal.  Dependents
     // never issue; the forward-progress watchdog reports the hang.
@@ -329,7 +376,7 @@ StreamController::complete(Slot &s)
         s.state = SlotState::Stuck;
         return;
     }
-    done_[s.idx] = 1;
+    markDone(s.idx);
     ++stats_.instrsRetired;
     ++stats_.kindCount[static_cast<int>(s.instr->kind)];
     if (trace_ && s.traceTrack >= 0) {
@@ -341,11 +388,13 @@ StreamController::complete(Slot &s)
         s.traceTrack = -1;
     }
     s.instr = nullptr;  // marks the slot for removal
+    retired_ = true;
 }
 
 void
 StreamController::retryOrGiveUp(Slot &s)
 {
+    dirty_ = true;
     const StreamInstr &si = *s.instr;
     if (si.kind == StreamOpKind::Restart || s.inPlace ||
         s.retries >= cfg_.faults.maxRetries) {
@@ -383,6 +432,7 @@ StreamController::tick(Cycle now)
 {
     // --- finish a microcode load ---------------------------------------
     if (ucodeLoadAg_ >= 0 && mem_.agDone(ucodeLoadAg_)) {
+        dirty_ = true;
         mem_.finish(ucodeLoadAg_);
         if (inj_ && inj_->onUcodeLoad(ucodeLoading_)) {
             // Parity caught a corrupted transfer: discard and re-run.
@@ -411,16 +461,14 @@ StreamController::tick(Cycle now)
         }
     }
 
-    // --- completions and dispatches ------------------------------------
-    for (Slot &s : slots_) {
-        if (!s.instr)
-            continue;
-        if (s.state == SlotState::Issuing && now >= s.issueDone) {
-            dispatch(s, now);
+    // --- completions and dispatches (in-flight slots only) -------------
+    for (uint32_t pos : inFlight_) {
+        Slot &s = slots_[pos];
+        if (s.state == SlotState::Issuing) {
+            if (now >= s.issueDone)
+                dispatch(s, now);
             continue;
         }
-        if (s.state != SlotState::Running)
-            continue;
         switch (s.instr->kind) {
           case StreamOpKind::MemLoad:
           case StreamOpKind::MemStore:
@@ -480,10 +528,21 @@ StreamController::tick(Cycle now)
             break;
         }
     }
-    std::erase_if(slots_, [](const Slot &s) { return !s.instr; });
+    if (retired_) {
+        std::erase_if(slots_, [](const Slot &s) { return !s.instr; });
+        retired_ = false;
+    }
 
-    if (issueBusy_ && now >= issueBusyUntil_)
+    if (issueBusy_ && now >= issueBusyUntil_) {
         issueBusy_ = false;
+        dirty_ = true;
+    }
+
+    // Nothing the scan or the idle classification reads has moved
+    // since the last event tick, so both would repeat their outcome.
+    if (!dirty_)
+        return;
+    dirty_ = false;
 
     // --- pick the next instruction to issue (oldest eligible) ----------
     if (!issueBusy_) {
@@ -548,13 +607,29 @@ StreamController::tick(Cycle now)
     if (trace_)
         traceSlotStages();
     classifyIdle();
+    refreshInFlight();
+}
+
+void
+StreamController::refreshInFlight()
+{
+    inFlight_.clear();
+    ownNext_ = issueBusy_ ? issueBusyUntil_ : kForever;
+    for (uint32_t pos = 0; pos < slots_.size(); ++pos) {
+        const Slot &s = slots_[pos];
+        if (s.state == SlotState::Issuing)
+            ownNext_ = std::min(ownNext_, s.issueDone);
+        else if (s.state != SlotState::Running)
+            continue;
+        inFlight_.push_back(pos);
+    }
 }
 
 void
 StreamController::traceSlotStages()
 {
-    // Slot lifecycle state only moves inside ticks, so re-opening the
-    // stage span here (once per real tick) segments every slot's
+    // Slot lifecycle state only moves on the controller's event ticks,
+    // so re-opening the stage span there segments every slot's
     // residency exactly: dep-blocked -> resource-blocked -> ucode ->
     // issue -> run -> stuck.
     for (Slot &s : slots_) {
@@ -584,76 +659,19 @@ StreamController::traceSlotStages()
 Cycle
 StreamController::nextEventAfter(Cycle now) const
 {
-    // A finished microcode load is processed on the next tick.
-    if (ucodeLoadAg_ >= 0 && mem_.agDone(ucodeLoadAg_))
+    // The resources the controller polls signal only "finished" (and
+    // "faulted", which implies finished); each such signal is processed
+    // on the next tick.  Every active AG belongs to a running memory op
+    // or to the microcode load.
+    for (int i = 0; i < cfg_.numAddressGenerators; ++i)
+        if (mem_.agDone(i))
+            return now + 1;
+    if (clusters_.done())
         return now + 1;
-
-    Cycle h = kForever;
-    bool kernelInFlight = clusters_.busy();
-    for (const Slot &s : slots_) {
-        if (!s.instr)
-            continue;
-        if ((s.state == SlotState::Issuing ||
-             s.state == SlotState::Running) &&
-            (s.instr->kind == StreamOpKind::KernelExec ||
-             s.instr->kind == StreamOpKind::Restart))
-            kernelInFlight = true;
-    }
-
-    auto freeAg = [&]() {
-        for (int i = 0; i < cfg_.numAddressGenerators; ++i)
-            if (mem_.agIdle(i) && i != ucodeLoadAg_ && i != reservedAg_)
-                return true;
-        return false;
-    };
-
-    for (const Slot &s : slots_) {
-        if (!s.instr)
-            continue;
-        switch (s.state) {
-          case SlotState::Issuing:
-            h = std::min(h, std::max(now + 1, s.issueDone));
-            break;
-          case SlotState::Running:
-            // Resource progress is the resource's event; only the
-            // already-signalled completion is ours to process.
-            if (isMemOp(s.instr->kind)) {
-                if (mem_.agDone(s.ag))
-                    return now + 1;
-            } else if (clusters_.done()) {
-                return now + 1;
-            }
-            break;
-          case SlotState::Stuck:
-            break;  // lost completion: only the watchdog ends this
-          case SlotState::Waiting:
-          case SlotState::NeedUcode: {
-            if (!depsSatisfied(s))
-                break;  // some completion event precedes any issue
-            StreamOpKind k = s.instr->kind;
-            if (k == StreamOpKind::KernelExec ||
-                k == StreamOpKind::Restart) {
-                if (kernelInFlight)
-                    break;  // the owner's completion event covers this
-                if (!ucodeResident(s.instr->kernelId)) {
-                    if (s.state == SlotState::Waiting)
-                        return now + 1; // Waiting -> NeedUcode flip
-                    if (ucodeLoadAg_ < 0 && freeAg())
-                        return now + 1; // the load can start
-                    break;  // load finish / AG release covers this
-                }
-            } else if (isMemOp(k)) {
-                if (!freeAg())
-                    break;  // an AG frees only via a completion event
-            }
-            h = std::min(h, issueBusy_
-                                ? std::max(now + 1, issueBusyUntil_)
-                                : now + 1);
-            break;
-          }
-        }
-    }
-    return h;
+    // Everything else that moves a slot is one of the controller's own
+    // events, and the only ones not triggered by a resource signal are
+    // the dispatch of the issuing slot and the issue pipeline freeing.
+    return std::max(now + 1, ownNext_);
 }
 
 namespace
@@ -830,6 +848,9 @@ StreamController::loadState(ckpt::Deserializer &d)
     ucodeLoading_ = d.u16();
     ucodeRetries_ = d.i32();
     idleCause_ = static_cast<IdleCause>(d.u8());
+    countPendingDeps();
+    refreshInFlight();
+    dirty_ = true;
 }
 
 void
@@ -845,8 +866,6 @@ StreamController::classifyIdle()
     bool anyKernel = false;
     bool anyMem = false;
     for (const Slot &s : slots_) {
-        if (!s.instr)
-            continue;
         StreamOpKind k = s.instr->kind;
         if (isMemOp(k))
             anyMem = true;
@@ -858,13 +877,8 @@ StreamController::classifyIdle()
         } else if (s.state == SlotState::Issuing) {
             kernelIssuing = true;
         } else if (s.state == SlotState::Waiting) {
-            // Blocked on a memory dependency?
-            for (uint32_t d : s.instr->deps) {
-                if (!done_[d] && program_ &&
-                    isMemOp(program_->instrs[d].kind)) {
-                    kernelBlockedOnMem = true;
-                }
-            }
+            if (pendingMemDeps_[s.idx] != 0)
+                kernelBlockedOnMem = true;  // blocked on a memory op
             if (depsSatisfied(s))
                 kernelIssuing = true;   // eligible, waiting for pipeline
         }

@@ -158,7 +158,18 @@ class StreamController : public Component
         const char *traceStage = nullptr;
     };
 
-    bool depsSatisfied(const Slot &s) const;
+    bool depsSatisfied(const Slot &s) const
+    {
+        return pendingDeps_[s.idx] == 0;
+    }
+    /** Record program instruction @p idx as done and resolve it in its
+     *  dependents' counts. */
+    void markDone(uint32_t idx);
+    /** Recount every instruction's unresolved dependencies from done_. */
+    void countPendingDeps();
+    /** Rebuild the in-flight list and the cached own next event from
+     *  slots_ (after the slot states moved). */
+    void refreshInFlight();
     /**
      * A detected fault tainted this slot's result: re-issue it, or
      * throw an UnrecoveredFault SimError once the retry budget is
@@ -192,6 +203,28 @@ class StreamController : public Component
     int reservedAg_ = -1;               ///< AG held by an issuing mem op
     bool issueBusy_ = false;            ///< issue pipeline occupancy
     Cycle issueBusyUntil_ = 0;
+
+    // Wake-on-event bookkeeping (DESIGN.md section 8).  The issue scan
+    // and the idle classification can change their outcome only after
+    // one of the controller's own events (enqueue, host-side retire,
+    // dispatch, completion, retry, microcode-load end, issue pipeline
+    // freeing, restore), so they run only on ticks that had one.  All
+    // of it is derived from slots_ and done_ and is not serialized.
+    bool dirty_ = true;                 ///< an event since the last scan
+    bool retired_ = false;              ///< a slot retired this tick
+    /** Per program instruction: unresolved dependencies, and how many
+     *  of them are memory stream ops (the Memory idle cause). */
+    std::vector<uint32_t> pendingDeps_, pendingMemDeps_;
+    /** Reverse dependency edges, CSR: the instructions depending on
+     *  instruction i are dependents_[dependentsBegin_[i] ..
+     *  dependentsBegin_[i + 1]). */
+    std::vector<uint32_t> dependentsBegin_, dependents_;
+    /** Positions in slots_ of the Issuing and Running slots, in slot
+     *  order: the only ones a tick polls for completion. */
+    std::vector<uint32_t> inFlight_;
+    /** Absolute cycle of the controller's own next event (dispatch or
+     *  issue pipeline freeing); kForever when none is scheduled. */
+    Cycle ownNext_ = kForever;
 
     // Register files.
     std::vector<Sdr> sdrs_;

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <iterator>
+
 #include "core/system.hh"
 #include "kernels/microbench.hh"
 
@@ -181,28 +185,150 @@ TEST(HostTest, ScalarResultsFlowBetweenKernelsWithoutHostReads)
     EXPECT_EQ(r.host.dependencyStallCycles, 0u);
 }
 
+namespace
+{
+
+/** Clusters-idle cycles of one run, indexed by IdleCause. */
+using IdleVector = std::array<uint64_t, 5>;
+
+IdleVector
+idleOf(const RunResult &r)
+{
+    IdleVector v;
+    std::copy(std::begin(r.idleCycles), std::end(r.idleCycles), v.begin());
+    return v;
+}
+
+/** Largest clusters-idle cause of @p v (IdleCause::None excluded). */
+IdleCause
+dominantIdle(const IdleVector &v)
+{
+    size_t best = 1;
+    for (size_t i = 2; i < v.size(); ++i)
+        if (v[i] > v[best])
+            best = i;
+    return static_cast<IdleCause>(best);
+}
+
+} // namespace
+
 TEST(HostTest, IdleCausePriorities)
 {
-    // Force a microcode-load stall and check it is attributed as such
-    // (highest priority in the paper's rule).
-    MachineConfig cfg = MachineConfig::devBoard();
-    cfg.ucodeStoreInstrs = 24;
-    ImagineSystem sys(cfg);
-    uint16_t k1 = sys.registerKernel(kernels::peakFlops());
-    uint16_t k2 = sys.registerKernel(kernels::peakOps());
-    const uint32_t n = 512;
-    sys.memory().writeWords(0, std::vector<Word>(n, floatToWord(1)));
-    auto b = sys.newProgram();
-    uint32_t s0 = b.alloc(n), s1 = b.alloc(n);
-    b.load(b.marStride(0), b.sdr(s0, n));
-    for (int i = 0; i < 6; ++i) {
-        b.kernel(k1, {b.sdr(s0, n)}, {b.sdr(s1, n)});
-        b.kernel(k2, {b.sdr(s0, n)}, {b.sdr(s1, n)});
+    // One small program per idle cause, each built so that its cause
+    // dominates the clusters-idle time.  The exact per-cause vectors
+    // pin the paper's earliest-in-the-list attribution rule.
+    //
+    // Microcode load (highest priority in the rule): a store that holds
+    // one of two kernels thrashes on every launch.
+    {
+        MachineConfig cfg = MachineConfig::devBoard();
+        cfg.ucodeStoreInstrs = 24;
+        ImagineSystem sys(cfg);
+        uint16_t k1 = sys.registerKernel(kernels::peakFlops());
+        uint16_t k2 = sys.registerKernel(kernels::peakOps());
+        const uint32_t n = 512;
+        sys.memory().writeWords(0, std::vector<Word>(n, floatToWord(1)));
+        auto b = sys.newProgram();
+        uint32_t s0 = b.alloc(n), s1 = b.alloc(n);
+        b.load(b.marStride(0), b.sdr(s0, n));
+        for (int i = 0; i < 6; ++i) {
+            b.kernel(k1, {b.sdr(s0, n)}, {b.sdr(s1, n)});
+            b.kernel(k2, {b.sdr(s0, n)}, {b.sdr(s1, n)});
+        }
+        StreamProgram prog = b.take();
+        RunResult r = sys.run(prog);
+        EXPECT_GT(r.breakdown.ucodeStall, 0u);
+        EXPECT_GT(r.sc.ucodeLoadsIssued, 2u);   // thrashing
+        EXPECT_EQ(dominantIdle(idleOf(r)), IdleCause::UcodeLoad);
+        EXPECT_EQ(idleOf(r), (IdleVector{0, 2315, 376, 336, 296}));
     }
-    StreamProgram prog = b.take();
-    RunResult r = sys.run(prog);
-    EXPECT_GT(r.breakdown.ucodeStall, 0u);
-    EXPECT_GT(r.sc.ucodeLoadsIssued, 2u);   // thrashing
+    // Memory: each short kernel waits on a long strided load, and the
+    // trailing stores run with no kernel left in the scoreboard.
+    {
+        ImagineSystem sys(MachineConfig::devBoard());
+        uint16_t k = sys.registerKernel(copyKernel());
+        const uint32_t n = 4096;
+        sys.memory().writeWords(0, std::vector<Word>(4 * n, 3));
+        auto b = sys.newProgram();
+        for (uint32_t i = 0; i < 4; ++i) {
+            uint32_t in = b.alloc(n), out = b.alloc(n);
+            b.load(b.marStride(i * n), b.sdr(in, n));
+            b.kernel(k, {b.sdr(in, n)}, {b.sdr(out, n)});
+            b.store(b.marStride(100000 + i * n), b.sdr(out, n));
+        }
+        StreamProgram prog = b.take();
+        RunResult r = sys.run(prog);
+        EXPECT_EQ(dominantIdle(idleOf(r)), IdleCause::Memory);
+        EXPECT_EQ(idleOf(r), (IdleVector{0, 328, 19632, 28, 296}));
+    }
+    // Stream-controller overhead: a fast host keeps the scoreboard full
+    // of tiny kernels, and a long issue stage sits between each pair.
+    {
+        MachineConfig cfg = MachineConfig::devBoard();
+        cfg.hostMips = 100.0;
+        cfg.scIssueOverhead = 400;
+        ImagineSystem sys(cfg);
+        uint16_t k = sys.registerKernel(copyKernel());
+        const uint32_t n = 64;
+        sys.memory().writeWords(0, std::vector<Word>(n, 5));
+        auto b = sys.newProgram();
+        uint32_t s0 = b.alloc(n), s1 = b.alloc(n);
+        b.load(b.marStride(0), b.sdr(s0, n));
+        for (int i = 0; i < 16; ++i) {
+            b.kernel(k, {b.sdr(s0, n)}, {b.sdr(s1, n)});
+            std::swap(s0, s1);
+        }
+        StreamProgram prog = b.take();
+        RunResult r = sys.run(prog);
+        EXPECT_EQ(dominantIdle(idleOf(r)), IdleCause::ScOverhead);
+        EXPECT_EQ(idleOf(r), (IdleVector{0, 156, 1266, 6656, 352}));
+    }
+    // Host: a slow host interface trickles register writes and tiny
+    // kernels into an otherwise empty scoreboard.
+    {
+        MachineConfig cfg = MachineConfig::devBoard();
+        cfg.hostMips = 0.25;
+        ImagineSystem sys(cfg);
+        uint16_t k = sys.registerKernel(addParamKernel());
+        const uint32_t n = 64;
+        sys.memory().writeWords(0, std::vector<Word>(n, 7));
+        auto b = sys.newProgram();
+        uint32_t s0 = b.alloc(n), s1 = b.alloc(n);
+        b.load(b.marStride(0), b.sdr(s0, n));
+        for (int i = 0; i < 8; ++i) {
+            b.ucr(3, static_cast<Word>(i));
+            b.kernel(k, {b.sdr(s0, n)}, {b.sdr(s1, n)});
+            std::swap(s0, s1);
+        }
+        StreamProgram prog = b.take();
+        RunResult r = sys.run(prog);
+        EXPECT_EQ(dominantIdle(idleOf(r)), IdleCause::Host);
+        EXPECT_EQ(idleOf(r), (IdleVector{0, 174, 82, 224, 15324}));
+    }
+}
+
+TEST(HostTest, HostSideRetireWakesAWaitingSlot)
+{
+    // A scoreboard slot waiting on a later host-side instruction: the
+    // host enqueues the Sync, then retires the RegRead it depends on
+    // without the scoreboard seeing any other event.  That retirement
+    // alone must make the Sync issue, in both engine modes.
+    for (bool ed : {true, false}) {
+        MachineConfig cfg = MachineConfig::devBoard();
+        cfg.eventDriven = ed;
+        cfg.watchdogStagnationCycles = 10'000;
+        ImagineSystem sys(cfg);
+        StreamProgram prog;
+        StreamInstr wait;
+        wait.kind = StreamOpKind::Sync;
+        wait.deps = {1};
+        StreamInstr read;
+        read.kind = StreamOpKind::RegRead;
+        prog.instrs = {wait, read};
+        RunResult r = sys.run(prog);
+        EXPECT_EQ(r.sc.instrsRetired, 2u) << "eventDriven=" << ed;
+        EXPECT_EQ(r.cycles, 210u) << "eventDriven=" << ed;
+    }
 }
 
 TEST(HostTest, MicrocodeEvictionIsLru)

@@ -35,6 +35,7 @@
 
 #include "app_kernels.hh"
 #include "sim_test_util.hh"
+#include "sweep_shapes.hh"
 
 #include "apps/apps.hh"
 #include "sim/runner.hh"
@@ -358,7 +359,9 @@ pinOf(const RunResult &r)
     return {r.cycles, f.h};
 }
 
-/** Run @p runApp under @p cfg: it must validate and match @p want. */
+/** Run @p runApp under @p cfg: it must validate (fold, at Sampled
+ *  fidelity: folded outputs fail golden validation by design) and
+ *  match @p want. */
 template <typename RunApp>
 void
 expectAppPinned(const std::string &label, const MachineConfig &cfg,
@@ -366,7 +369,10 @@ expectAppPinned(const std::string &label, const MachineConfig &cfg,
 {
     ImagineSystem sys(cfg);
     apps::AppResult r = runApp(sys);
-    EXPECT_TRUE(r.validated) << label;
+    if (cfg.fidelity == Fidelity::Cycle)
+        EXPECT_TRUE(r.validated) << label;
+    else
+        EXPECT_FALSE(r.run.kernelFolds.empty()) << label;
     expectPin(pinOf(r.run), want, label);
 }
 
@@ -450,6 +456,51 @@ TEST(PredecodeTest, SweepBitIdentity)
                             " memDiv=" + std::to_string(sh.memDiv) +
                             " sb=" + std::to_string(sh.sbWords);
         expectAppPinned(label, cfg, runDepthSmall, sh.pin);
+    }
+}
+
+TEST(PredecodeTest, SampledBitIdentity)
+{
+    // Fold-eligible Sampled shapes on two machine shapes of the shared
+    // sweep list: the fold, the horizon jumps that run it down and the
+    // stream controller's idle attribution around them.  The streamed
+    // dimension is just long enough for the hot kernels to fold.
+    struct Point
+    {
+        const char *shape;
+        bool qrd;
+        Pin pin;
+    };
+    auto depth = [](ImagineSystem &sys) {
+        apps::DepthConfig cfg;
+        cfg.width = 49152;
+        cfg.height = 18;
+        cfg.disparities = 4;
+        return apps::runDepth(sys, cfg);
+    };
+    auto qrd = [](ImagineSystem &sys) {
+        apps::QrdConfig cfg;
+        cfg.rows = 16384;
+        cfg.cols = 16;
+        return apps::runQrd(sys, cfg);
+    };
+    for (const Point &p :
+         {Point{"baseline", false, {2434070, 0x77ca1b05ea1e4895ull}},
+          Point{"baseline", true, {1361238, 0xbb511f5b86108c69ull}},
+          Point{"two_channels", false, {3629550, 0xc556a2cb3945f892ull}},
+          Point{"two_channels", true, {1872722, 0xb0b029933c57a6d1ull}}}) {
+        MachineConfig cfg;
+        for (const bench::MachineShape &sh : bench::machineShapes())
+            if (std::string_view(sh.name) == p.shape)
+                cfg = sh.cfg;
+        cfg.fidelity = Fidelity::Sampled;
+        cfg.srfSizeWords = 4u * 1024 * 1024;
+        std::string label =
+            std::string(p.shape) + (p.qrd ? " QRD" : " DEPTH");
+        if (p.qrd)
+            expectAppPinned(label, cfg, qrd, p.pin);
+        else
+            expectAppPinned(label, cfg, depth, p.pin);
     }
 }
 
