@@ -45,9 +45,7 @@ ClusterArray::registerStats(StatsRegistry &reg)
 }
 
 using kernelc::CompiledKernel;
-using kernelc::Node;
 using kernelc::OpMix;
-using kernelc::Region;
 using kernelc::ScheduledOp;
 
 ClusterArray::ClusterArray(const MachineConfig &cfg, Srf &srf)
@@ -147,7 +145,7 @@ ClusterArray::start(const CompiledKernel *k, std::vector<Binding> ins,
                        0);
     }
     if (!restart_)
-        curBind_->accSaved.clear();
+        curBind_->saved.clear();
     proCursor_ = 0;
     epiCursor_ = 0;
 
@@ -322,20 +320,10 @@ ClusterArray::planSampling()
     // them per folded position block gives the SRF exactly the
     // consume/produce sequence real execution would, so the
     // stream-buffer window invariants carry over.
-    const uint32_t rows = low_->depth * numClusters;
-    for (size_t i = 0; i < L.ops.size(); ++i) {
-        const kernelc::MicroOp &m = L.ops[i];
-        if (m.h != MicroHandler::In && m.h != MicroHandler::OutLoop)
-            continue;
-        LoopStreamOp op;
-        op.isIn = m.h == MicroHandler::In;
-        op.streamIdx = m.streamIdx;
-        op.rec = m.rec;
-        op.elemIdx = m.elemIdx;
-        op.node = op.isIn ? m.dstBase / rows : m.src[0].node;
-        op.stage = L.stage[i];
-        foldStreamOps_.push_back(op);
-    }
+    for (uint32_t i = 0; i < L.ops.size(); ++i)
+        if (L.ops[i].h == MicroHandler::In ||
+            L.ops[i].h == MicroHandler::OutLoop)
+            foldStreamOps_.push_back(i);
 }
 
 void
@@ -357,9 +345,11 @@ ClusterArray::drainFoldReport()
 uint64_t
 ClusterArray::executeFold()
 {
+    using kernelc::MicroHandler;
     IMAGINE_ASSERT(foldArmed(), "executeFold without an armed fold");
     const FoldRegion &fr = foldPlan_[foldNext_];
     const uint64_t ii = kernel_->loop.ii;
+    const kernelc::LoweredRegion &L = low_->loop;
 
     // Stall estimate: stalls per issued loop position, measured over
     // the cycle-accurate stratum since the previous mark (loop entry or
@@ -409,8 +399,8 @@ ClusterArray::executeFold()
     // the bulk state.  The ring's depth rows plus the deepest stage skew
     // bound how far back post-fold execution can read.
     uint32_t maxStage = 0;
-    for (const LoopStreamOp &op : foldStreamOps_)
-        maxStage = std::max(maxStage, op.stage);
+    for (uint32_t i : foldStreamOps_)
+        maxStage = std::max(maxStage, L.stage[i]);
     const uint64_t tailIters =
         std::min<uint64_t>(fr.iters, low_->depth + maxStage);
     const uint64_t bulk = fr.iters - tailIters;
@@ -420,14 +410,15 @@ ClusterArray::executeFold()
         for (size_t s = 0; s < ins_.size(); ++s) {
             ranges.clear();
             uint32_t rec = 0;
-            for (const LoopStreamOp &op : foldStreamOps_) {
-                if (!op.isIn || op.streamIdx != s)
+            for (uint32_t i : foldStreamOps_) {
+                const kernelc::MicroOp &m = L.ops[i];
+                if (m.h != MicroHandler::In || m.streamIdx != s)
                     continue;
-                rec = op.rec;
+                rec = m.rec;
                 ranges.push_back(
-                    {op.elemIdx,
-                     static_cast<uint32_t>(armIter - op.stage),
-                     static_cast<uint32_t>(armIter + bulk - op.stage)});
+                    {m.elemIdx,
+                     static_cast<uint32_t>(armIter - L.stage[i]),
+                     static_cast<uint32_t>(armIter + bulk - L.stage[i])});
             }
             if (ranges.empty())
                 continue;
@@ -439,21 +430,27 @@ ClusterArray::executeFold()
             ranges.clear();
             tiles.clear();
             uint32_t rec = 0;
-            for (const LoopStreamOp &op : foldStreamOps_) {
-                if (op.isIn || op.streamIdx != s)
+            for (uint32_t i : foldStreamOps_) {
+                const kernelc::MicroOp &m = L.ops[i];
+                if (m.h != MicroHandler::OutLoop || m.streamIdx != s)
                     continue;
-                rec = op.rec;
+                rec = m.rec;
                 ranges.push_back(
-                    {op.elemIdx,
-                     static_cast<uint32_t>(armIter - op.stage),
-                     static_cast<uint32_t>(armIter + bulk - op.stage)});
+                    {m.elemIdx,
+                     static_cast<uint32_t>(armIter - L.stage[i]),
+                     static_cast<uint32_t>(armIter + bulk - L.stage[i])});
                 // The producer's current ring rows, slot order, as the
-                // tile this op's folded rows are synthesized from.
-                const Word *ring = &values_[static_cast<size_t>(op.node) *
-                                            low_->depth * numClusters];
-                tiles.insert(tiles.end(), ring,
-                             ring + static_cast<size_t>(low_->depth) *
-                                        numClusters);
+                // tile this op's folded rows are synthesized from; zeros
+                // for sources without a ring (accumulators, splats).
+                const size_t words =
+                    static_cast<size_t>(low_->depth) * numClusters;
+                const kernelc::MicroSrc &src = m.src[0];
+                if (src.kind == kernelc::MicroSrcKind::RowLoop ||
+                    src.kind == kernelc::MicroSrcKind::RowFixed)
+                    tiles.insert(tiles.end(), &values_[src.base],
+                                 &values_[src.base] + words);
+                else
+                    tiles.resize(tiles.size() + words, 0);
             }
             if (ranges.empty())
                 continue;
@@ -464,24 +461,19 @@ ClusterArray::executeFold()
     }
     Word row[numClusters];
     for (uint64_t j = bulk; j < fr.iters; ++j) {
-        for (const LoopStreamOp &op : foldStreamOps_) {
+        for (uint32_t i : foldStreamOps_) {
+            const kernelc::MicroOp &m = L.ops[i];
             uint32_t iter =
-                static_cast<uint32_t>(armIter + j - op.stage);
-            uint32_t first =
-                iter * numClusters * op.rec + op.elemIdx;
-            if (op.isIn) {
-                Word *dst = &values_[(static_cast<size_t>(op.node) *
-                                          low_->depth +
-                                      (iter & low_->mask)) *
-                                     numClusters];
-                srf_.warpInRow(ins_[op.streamIdx].client, first,
-                               op.rec, dst);
+                static_cast<uint32_t>(armIter + j - L.stage[i]);
+            uint32_t first = iter * numClusters * m.rec + m.elemIdx;
+            uint32_t slot = iter & low_->mask;
+            if (m.h == MicroHandler::In) {
+                srf_.warpInRow(ins_[m.streamIdx].client, first, m.rec,
+                               &values_[m.dstBase + slot * numClusters]);
                 stats_.sbReads += numClusters;
             } else {
-                for (int lane = 0; lane < numClusters; ++lane)
-                    row[lane] = value(op.node, iter, lane);
-                srf_.warpOutRow(outs_[op.streamIdx].client, first,
-                                op.rec, row);
+                srf_.warpOutRow(outs_[m.streamIdx].client, first, m.rec,
+                                resolveSrc(m.src[0], iter, slot, row));
                 stats_.sbWrites += numClusters;
             }
         }
@@ -633,41 +625,6 @@ ClusterArray::rearmTrace()
     }
 }
 
-Word
-ClusterArray::value(uint32_t id, uint32_t iter, int lane) const
-{
-    const Node &n = kernel_->graph.nodes[id];
-    switch (n.op) {
-      case Opcode::Imm:
-        return n.payload;
-      case Opcode::UcrRd:
-        return ucrs_[n.payload];
-      case Opcode::Cid:
-        return static_cast<Word>(lane);
-      case Opcode::Iter:
-        return iter;
-      case Opcode::Acc:
-        if (iter == 0) {
-            if (restart_ && curBind_) {
-                auto it = curBind_->accSaved.find(id);
-                if (it != curBind_->accSaved.end())
-                    return it->second[static_cast<size_t>(lane)];
-            }
-            return value(n.in[0], 0, lane);
-        }
-        return value(n.in[1], iter - 1, lane);
-      default: {
-        uint32_t it = (n.region == Region::Loop && trip_ > 0)
-                          ? std::min(iter, trip_ - 1)
-                          : 0;
-        return values_[(static_cast<size_t>(id) * low_->depth +
-                        (it & low_->mask)) *
-                           numClusters +
-                       static_cast<size_t>(lane)];
-      }
-    }
-}
-
 // --- pre-decoded micro-op engine (DESIGN.md section 9) ---------------
 
 const Word *
@@ -675,7 +632,24 @@ ClusterArray::resolveSrc(const kernelc::MicroSrc &s, uint32_t iter,
                          uint32_t rowSlot, Word *scratch) const
 {
     using kernelc::MicroSrcKind;
-    switch (s.kind) {
+    MicroSrcKind kind = s.kind;
+    if (kind == MicroSrcKind::Chain) {
+        // The first dist iterations read a start value: the Restart's
+        // saved final, or the init.  The epilogue runs after the finals
+        // are taken, so there the read is the head's own final.
+        if (iter < s.dist) {
+            if (phase_ == Phase::Epilogue)
+                return curBind_->saved[low_->chainSlots[s.chain]].data();
+            uint32_t slot = low_->chainSlots[s.chain + iter];
+            if (restart_ && !curBind_->saved.empty())
+                return curBind_->saved[slot].data();
+            return resolveSrc(low_->accs[slot].init, 0, 0, scratch);
+        }
+        iter -= s.dist;
+        rowSlot = iter & low_->mask;
+        kind = s.root;
+    }
+    switch (kind) {
       case MicroSrcKind::RowLoop:
         return &values_[s.base + rowSlot * numClusters];
       case MicroSrcKind::RowFixed:
@@ -694,24 +668,9 @@ ClusterArray::resolveSrc(const kernelc::MicroSrc &s, uint32_t iter,
         for (int l = 0; l < numClusters; ++l)
             scratch[l] = static_cast<Word>(l);
         return scratch;
-      case MicroSrcKind::IterIdx:
+      default:  // IterIdx
         for (int l = 0; l < numClusters; ++l)
             scratch[l] = iter;
-        return scratch;
-      case MicroSrcKind::AccNext:
-        // value(Acc, iter > 0) = value(in[1], iter - 1): the producer's
-        // row one slot back.  No clamp needed: live loop consumers have
-        // iter < trip_, epilogue consumers iter == trip_, so iter - 1
-        // never exceeds trip_ - 1.  iter == 0 (init chain / restart
-        // carry-over) falls through to value().
-        if (iter > 0)
-            return &values_[s.base +
-                            ((iter - 1) & low_->mask) * numClusters];
-        [[fallthrough]];
-      case MicroSrcKind::Generic:
-      default:
-        for (int l = 0; l < numClusters; ++l)
-            scratch[l] = value(s.node, iter, l);
         return scratch;
     }
 }
@@ -784,19 +743,6 @@ ClusterArray::execMicro(const kernelc::MicroOp &m, uint32_t iter,
       case MicroHandler::UcrWr:
         ucrs_[m.ucrIdx] = s0[0];
         break;
-      case MicroHandler::ArithGen: {
-        Word in[3] = {0, 0, 0};
-        for (int l = 0; l < numClusters; ++l) {
-            if (m.numIn > 0)
-                in[0] = s0[l];
-            if (m.numIn > 1)
-                in[1] = s1[l];
-            if (m.numIn > 2)
-                in[2] = s2[l];
-            d[l] = evalArith(m.op, in);
-        }
-        break;
-      }
 #define IMAGINE_M(name)                                                  \
       case MicroHandler::name:                                           \
         for (int l = 0; l < numClusters; ++l)                            \
@@ -930,16 +876,16 @@ ClusterArray::accountMix(const OpMix &mix, uint64_t times)
 void
 ClusterArray::finishLoopBookkeeping()
 {
-    // Save accumulator finals so a Restart can carry them over.
-    for (uint32_t id = 0; id < kernel_->graph.nodes.size(); ++id) {
-        const Node &n = kernel_->graph.nodes[id];
-        if (n.op != Opcode::Acc)
-            continue;
-        std::array<Word, numClusters> fin;
-        for (int lane = 0; lane < numClusters; ++lane)
-            fin[static_cast<size_t>(lane)] = value(id, trip_, lane);
-        curBind_->accSaved[id] = fin;
+    // Save accumulator finals so a Restart can carry them over.  All
+    // are resolved before any is stored: on a short Restart, a chain's
+    // final is another accumulator's carried-in value.
+    std::vector<std::array<Word, numClusters>> fin(low_->accs.size());
+    Word scratch[numClusters];
+    for (size_t a = 0; a < fin.size(); ++a) {
+        const Word *w = resolveSrc(low_->accs[a].fin, trip_, 0, scratch);
+        std::copy(w, w + numClusters, fin[a].begin());
     }
+    curBind_->saved = std::move(fin);
     // Software-pipeline priming/drain attribution (the paper counts
     // priming iterations as non-main-loop time).
     uint64_t priming = static_cast<uint64_t>(kernel_->loop.stages() - 1) *
@@ -1332,18 +1278,13 @@ ClusterArray::saveState(ckpt::Serializer &s) const
         s.u32(idx);
         s.b(b->hasRun);
         s.u64(b->lastUse);
-        std::vector<uint32_t> accIds;
-        accIds.reserve(b->accSaved.size());
-        for (const auto &[id, fin] : b->accSaved) {
-            (void)fin;
-            accIds.push_back(id);
-        }
-        std::sort(accIds.begin(), accIds.end());
-        s.u64(accIds.size());
-        for (uint32_t id : accIds) {
-            s.u32(id);
-            const auto &fin = b->accSaved.at(id);
-            s.bytes(fin.data(), fin.size() * sizeof(Word));
+        // Saved finals as (node id, lanes) pairs in slot (= id) order.
+        const std::vector<uint32_t> ids =
+            kernelc::accumulatorNodes(reg[idx].graph);
+        s.u64(b->saved.size());
+        for (size_t a = 0; a < b->saved.size(); ++a) {
+            s.u32(ids[a]);
+            s.bytes(b->saved[a].data(), sizeof b->saved[a]);
         }
         // The lowered trace is shared process-wide via the compile
         // cache and re-fetched on rebind; never serialized.
@@ -1389,11 +1330,14 @@ ClusterArray::loadState(ckpt::Deserializer &d)
         KernelBind &b = binds_[k];
         b.hasRun = d.b();
         b.lastUse = d.u64();
-        for (uint64_t a = 0, na = d.u64(); a < na; ++a) {
-            uint32_t id = d.u32();
-            std::array<Word, numClusters> fin;
-            d.bytes(fin.data(), fin.size() * sizeof(Word));
-            b.accSaved[id] = fin;
+        const uint64_t na = d.u64();
+        if (na && (!k || na != kernelc::accumulatorNodes(k->graph).size()))
+            IMAGINE_FATAL("checkpoint: %llu saved accumulators mismatch",
+                          static_cast<unsigned long long>(na));
+        b.saved.resize(na);
+        for (auto &fin : b.saved) {
+            d.u32();    // node id: slots run in ascending id order
+            d.bytes(fin.data(), sizeof fin);
         }
     }
     kernel_ = kernelAt(d.u32());

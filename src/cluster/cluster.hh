@@ -218,23 +218,14 @@ class ClusterArray : public Component
      * cost collapses to a flag test once the fetch phase completes.
      */
     bool insResident() const;
-    /**
-     * Value of node @p id for consumer iteration @p iter, walked through
-     * the graph: the operands the lowering leaves unresolved (Generic
-     * sources, AccNext at iteration 0), the fold's output tail and the
-     * accumulator finals.
-     */
-    Word value(uint32_t id, uint32_t iter, int lane) const;
     uint32_t streamElem(uint32_t iter, int lane, uint16_t rec,
                         uint16_t elemIdx) const;
     void accountMix(const kernelc::OpMix &mix, uint64_t times);
     void finishLoopBookkeeping();
 
     // --- pre-decoded micro-op engine (DESIGN.md section 9) ------------
-    /**
-     * Resolve one micro-op operand to an 8-lane row: either a pointer
-     * straight into values_ or @p scratch filled by splat/fallback.
-     */
+    /** Resolve one micro-op operand to an 8-lane row: into values_ or
+     *  the saved finals, or @p scratch filled by a splat. */
     const Word *resolveSrc(const kernelc::MicroSrc &s, uint32_t iter,
                            uint32_t rowSlot, Word *scratch) const;
     /** Execute one micro-op for all lanes. */
@@ -265,19 +256,19 @@ class ClusterArray : public Component
     std::vector<Word> values_;  ///< [node][iter & mask][lane]
     std::vector<std::array<Word, numClusters>> scratchpad_;
     /**
-     * Per-kernel bind-time state: run history (Restart guard), saved
-     * accumulator finals for restart carry-over, the shared lowered
+     * Per-kernel bind-time state: run history (Restart guard), the
+     * accumulator finals a Restart carries over, the shared lowered
      * micro-op trace, and an LRU stamp.  Entries past
      * cfg.clusterBindCacheKernels are evicted least-recently-launched
-     * first (the previous design grew without bound across a session's
-     * kernel population).
+     * first.
      */
     struct KernelBind
     {
         bool hasRun = false;
         uint64_t lastUse = 0;
-        std::unordered_map<uint32_t, std::array<Word, numClusters>>
-            accSaved;
+        /** Finals by LoweredKernel::accs slot: all of them, taken at
+         *  every loop exit, or none (cleared by a non-Restart launch). */
+        std::vector<std::array<Word, numClusters>> saved;
         std::shared_ptr<const kernelc::LoweredKernel> lowered;
     };
     std::unordered_map<const kernelc::CompiledKernel *, KernelBind>
@@ -344,20 +335,6 @@ class ClusterArray : public Component
          */
         uint64_t measureFrom = 0;
     };
-    /**
-     * One loop-region stream op in bucket (per-position issue) order.
-     * Fold replay walks these per folded position block so the SRF sees
-     * exactly the consume/produce sequence of real execution.
-     */
-    struct LoopStreamOp
-    {
-        bool isIn = false;
-        uint16_t streamIdx = 0;
-        uint16_t rec = 0;
-        uint16_t elemIdx = 0;
-        uint32_t node = 0;      ///< In: dest node; Out: source node
-        uint32_t stage = 0;     ///< schedule time / ii
-    };
     /** Plan fold regions for the current launch (end of bindDerived). */
     void planSampling();
     bool allowSampling_ = false;
@@ -367,7 +344,10 @@ class ClusterArray : public Component
     /** Wall cycles of the executed fold not yet run down.  Never set at
      *  a checkpoint: sampled runs do not checkpoint. */
     uint64_t foldLeft_ = 0;
-    std::vector<LoopStreamOp> foldStreamOps_;
+    /** low_->loop.ops indices of the In and OutLoop micro-ops in bucket
+     *  order: fold replay walks them per folded position block, so the
+     *  SRF sees real execution's consume/produce sequence. */
+    std::vector<uint32_t> foldStreamOps_;
     /** Measurement marks: loop position / stallCycles at the start of
      *  the cycle-accurate stratum feeding the next fold's stall rate. */
     uint64_t foldPosMark_ = 0;

@@ -20,17 +20,17 @@ arithHandler(Opcode op)
     IMAGINE_ARITH_OPS(IMAGINE_M)
 #undef IMAGINE_M
       default:
-        return MicroHandler::ArithGen;
+        IMAGINE_PANIC("no micro-op handler for opcode %s",
+                      opInfo(op).name);
     }
 }
 
-/** Pre-resolve producer @p id the way ClusterArray::value() would. */
+/** Pre-resolve a read of producer @p id, which is not an accumulator. */
 MicroSrc
-lowerSrc(const KernelGraph &g, uint32_t id, uint32_t depth)
+lowerDirect(const KernelGraph &g, uint32_t id, uint32_t depth)
 {
     const Node &p = g.nodes[id];
     MicroSrc s;
-    s.node = id;
     switch (p.op) {
       case Opcode::Imm:
         s.kind = MicroSrcKind::Imm;
@@ -46,20 +46,6 @@ lowerSrc(const KernelGraph &g, uint32_t id, uint32_t depth)
       case Opcode::Iter:
         s.kind = MicroSrcKind::IterIdx;
         break;
-      case Opcode::Acc: {
-        // value(Acc, iter) with iter > 0 reads value(in[1], iter - 1);
-        // the fast path needs in[1] to own a loop-region value row.
-        // Anything else (free-node feedback, chained accumulators) and
-        // the iter == 0 restart/init case resolve generically.
-        const Node &nxt = g.nodes[p.in[1]];
-        if (isScheduled(nxt.op) && nxt.region == Region::Loop) {
-            s.kind = MicroSrcKind::AccNext;
-            s.base = p.in[1] * depth * numClusters;
-        } else {
-            s.kind = MicroSrcKind::Generic;
-        }
-        break;
-      }
       default:
         // Scheduled producer: a value row in the cluster buffer.
         s.kind = p.region == Region::Loop ? MicroSrcKind::RowLoop
@@ -70,16 +56,53 @@ lowerSrc(const KernelGraph &g, uint32_t id, uint32_t depth)
     return s;
 }
 
-MicroOp
-lowerOp(const CompiledKernel &k, const ScheduledOp &sop, uint32_t depth)
+/**
+ * Value-ring depth: a power of two of at least stages + 2 that keeps
+ * every chained accumulator read's row live.  A loop consumer at time
+ * tc reads the row its root (at tp) wrote dist iterations back, which
+ * the root rewrites depth iterations after writing it, so
+ * (depth - dist) * ii > tc - tp.  The epilogue and the finals read
+ * iteration trip - dist, so dist <= depth.
+ */
+uint32_t
+valueDepth(const CompiledKernel &k, const std::vector<uint32_t> &slotOf,
+           const std::vector<std::pair<uint32_t, int>> &roots)
 {
     const KernelGraph &g = k.graph;
+    const int64_t ii = std::max(k.loop.ii, 1);
+    std::vector<int64_t> time(g.nodes.size(), -1);
+    for (const ScheduledOp &s : k.loop.ops)
+        time[s.node] = s.time;
+    int64_t need = k.loop.stages() + 2;
+    for (const auto &r : roots)
+        need = std::max<int64_t>(need, r.second);
+    for (const ScheduledOp &c : k.loop.ops) {
+        const Node &n = g.nodes[c.node];
+        for (int i = 0; i < n.numIn; ++i) {
+            uint32_t slot = slotOf[n.in[i]];
+            if (slot == UINT32_MAX || time[roots[slot].first] < 0)
+                continue;   // not an accumulator, or no row ring
+            auto [root, dist] = roots[slot];
+            int64_t gap = c.time - time[root];
+            if (gap >= 0)
+                need = std::max(need, dist + gap / ii + 1);
+        }
+    }
+    uint32_t depth = 1;
+    while (depth < need)
+        depth <<= 1;
+    return depth;
+}
+
+MicroOp
+lowerOp(const KernelGraph &g, const ScheduledOp &sop,
+        const LoweredKernel &L, const std::vector<uint32_t> &slotOf)
+{
     const Node &n = g.nodes[sop.node];
     MicroOp m;
-    m.op = n.op;
     m.numIn = n.numIn;
     m.dstLoop = n.region == Region::Loop ? 1 : 0;
-    m.dstBase = sop.node * depth * numClusters;
+    m.dstBase = sop.node * L.depth * numClusters;
     switch (n.op) {
       case Opcode::In:
         m.h = MicroHandler::In;
@@ -118,7 +141,9 @@ lowerOp(const CompiledKernel &k, const ScheduledOp &sop, uint32_t depth)
         break;
     }
     for (int i = 0; i < n.numIn; ++i)
-        m.src[i] = lowerSrc(g, n.in[i], depth);
+        m.src[i] = slotOf[n.in[i]] != UINT32_MAX
+                       ? L.accs[slotOf[n.in[i]]].fin
+                       : lowerDirect(g, n.in[i], L.depth);
     return m;
 }
 
@@ -127,13 +152,32 @@ lowerOp(const CompiledKernel &k, const ScheduledOp &sop, uint32_t depth)
 LoweredKernel
 lower(const CompiledKernel &k)
 {
+    const KernelGraph &g = k.graph;
     LoweredKernel L;
-    // Value buffers sized for the deepest software-pipeline overlap.
-    uint32_t need = static_cast<uint32_t>(k.loop.stages()) + 2;
-    L.depth = 1;
-    while (L.depth < need)
-        L.depth <<= 1;
+    // Resolve each accumulator once, by the scheduler's own rule.
+    const std::vector<uint32_t> accs = accumulatorNodes(g);
+    std::vector<uint32_t> slotOf(g.nodes.size(), UINT32_MAX);
+    std::vector<std::pair<uint32_t, int>> roots;
+    for (uint32_t a = 0; a < accs.size(); ++a) {
+        slotOf[accs[a]] = a;
+        roots.push_back(resolveProducer(g, accs[a]));
+    }
+    L.depth = valueDepth(k, slotOf, roots);
     L.mask = L.depth - 1;
+    for (uint32_t a = 0; a < accs.size(); ++a) {
+        const Node &n = g.nodes[accs[a]];
+        IMAGINE_ASSERT(g.nodes[n.in[0]].region == Region::Prologue,
+                       "kernel %s: accumulator init in loop", g.name.c_str());
+        auto [root, dist] = roots[a];
+        MicroSrc r = lowerDirect(g, root, L.depth);
+        MicroSrc fin{MicroSrcKind::Chain, r.kind,
+                     static_cast<uint16_t>(dist), r.imm, r.base,
+                     static_cast<uint32_t>(L.chainSlots.size())};
+        for (uint32_t id = accs[a], j = 0; j < fin.dist;
+             ++j, id = g.nodes[id].in[1])
+            L.chainSlots.push_back(slotOf[id]);
+        L.accs.push_back({lowerDirect(g, n.in[0], L.depth), fin});
+    }
 
     // Loop: bucket-major, k.loop.ops order within each bucket.
     const uint32_t ii = static_cast<uint32_t>(std::max(k.loop.ii, 1));
@@ -145,7 +189,7 @@ lower(const CompiledKernel &k)
     for (uint32_t b = 0; b < ii; ++b) {
         L.loop.bucketBegin[b] = static_cast<uint32_t>(L.loop.ops.size());
         for (const ScheduledOp &s : buckets[b]) {
-            L.loop.ops.push_back(lowerOp(k, s, L.depth));
+            L.loop.ops.push_back(lowerOp(g, s, L, slotOf));
             L.loop.stage.push_back(static_cast<uint32_t>(s.time) / ii);
             MicroHandler h = L.loop.ops.back().h;
             if (h == MicroHandler::In || h == MicroHandler::OutLoop ||
@@ -167,13 +211,23 @@ lower(const CompiledKernel &k)
                       return a.time < b.time;
                   });
         for (const ScheduledOp &s : ops) {
-            out.ops.push_back(lowerOp(k, s, L.depth));
+            out.ops.push_back(lowerOp(g, s, L, slotOf));
             out.stage.push_back(static_cast<uint32_t>(s.time));
         }
     };
     lowerBlock(k.prologue, L.prologue);
     lowerBlock(k.epilogue, L.epilogue);
     return L;
+}
+
+std::vector<uint32_t>
+accumulatorNodes(const KernelGraph &g)
+{
+    std::vector<uint32_t> ids;
+    for (uint32_t id = 0; id < g.nodes.size(); ++id)
+        if (g.nodes[id].op == Opcode::Acc)
+            ids.push_back(id);
+    return ids;
 }
 
 } // namespace imagine::kernelc

@@ -16,7 +16,9 @@
  *  - operand sources are pre-resolved to base offsets into the
  *    cluster's `values_` array (`node * depth * numClusters`), with
  *    `depth` rounded to a power of two so the per-iteration slot is
- *    `iter & mask` instead of a modulo;
+ *    `iter & mask` instead of a modulo, and accumulator reads to their
+ *    chain's root and distance plus per-accumulator init and final
+ *    sources, so the node graph is never walked at run time;
  *  - immediates, UCR indices and stream bindings (record width,
  *    element slot) are inlined into the record;
  *  - loop records are bucket-major with `[begin, end)` ranges per
@@ -56,7 +58,6 @@ enum class MicroHandler : uint8_t
     SpRd,
     SpWr,
     UcrWr,
-    ArithGen,     ///< per-lane evalArith fallback (uncovered opcodes)
 #define IMAGINE_M(name) name,
     IMAGINE_ARITH_OPS(IMAGINE_M)  ///< one dedicated 8-lane handler each
 #undef IMAGINE_M
@@ -71,28 +72,28 @@ enum class MicroSrcKind : uint8_t
     IterIdx,   ///< the op's iteration index
     RowLoop,   ///< loop-region producer row: values_[base + rowSlot*8]
     RowFixed,  ///< non-loop producer row: values_[base] (slot 0)
-    AccNext,   ///< accumulator: prior iteration of `base`'s row;
-               ///< iteration 0 falls back to the generic resolver
-               ///< (restart carry-over / init chain)
-    Generic    ///< graph walk of node `node` (ClusterArray::value)
+    Chain      ///< accumulator: source `root` read `dist` iterations
+               ///< back; iteration i < dist reads the start value of
+               ///< accumulator LoweredKernel::chainSlots[chain + i]
 };
 
 /** One pre-resolved micro-op input. */
 struct MicroSrc
 {
     MicroSrcKind kind = MicroSrcKind::Imm;
+    MicroSrcKind root = MicroSrcKind::Imm;  ///< Chain: the root's kind
+    uint16_t dist = 0;   ///< Chain: accumulators between read and root
     Word imm = 0;        ///< Imm payload / UCR index
     uint32_t base = 0;   ///< values_ word offset of the producer's rows
-    uint32_t node = 0;   ///< producer node id (AccNext / Generic)
+    uint32_t chain = 0;  ///< Chain: first of `dist` chainSlots entries
 };
 
 /** One pre-decoded scheduled op. */
 struct MicroOp
 {
-    MicroHandler h = MicroHandler::ArithGen;
+    MicroHandler h = MicroHandler::In;
     uint8_t numIn = 0;
     uint8_t dstLoop = 0;      ///< dst slot is iter & mask (else slot 0)
-    Opcode op = Opcode::Imm;  ///< original opcode (ArithGen fallback)
     uint16_t streamIdx = 0;   ///< In/Out/OutCond stream binding index
     uint16_t rec = 0;         ///< record words per lane per iteration
     uint16_t elemIdx = 0;     ///< record word slot
@@ -116,12 +117,25 @@ struct LoweredRegion
     std::vector<uint8_t> bucketHasStream; ///< loop only
 };
 
+/** One accumulator's lowered sources; its index is its dense slot. */
+struct LoweredAcc
+{
+    MicroSrc init;  ///< start value without Restart carry-over
+    MicroSrc fin;   ///< the accumulator read at iteration trip (final)
+};
+
 /** A kernel fully lowered to micro-op traces. */
 struct LoweredKernel
 {
-    uint32_t depth = 1;   ///< value-buffer depth (power of two)
+    /** Value-buffer depth (power of two), deep enough for the software
+     *  pipeline and for every chained accumulator read. */
+    uint32_t depth = 1;
     uint32_t mask = 0;    ///< depth - 1
     LoweredRegion prologue, loop, epilogue;
+    std::vector<LoweredAcc> accs;  ///< in accumulatorNodes() order
+    /** Per accumulator, the slots of the `dist` accumulators its chain
+     *  passes through, head first. */
+    std::vector<uint32_t> chainSlots;
 };
 
 /**
@@ -131,6 +145,9 @@ struct LoweredKernel
  * for a given standard library.
  */
 LoweredKernel lower(const CompiledKernel &k);
+
+/** The Acc node ids of @p g, ascending: LoweredKernel::accs order. */
+std::vector<uint32_t> accumulatorNodes(const KernelGraph &g);
 
 } // namespace imagine::kernelc
 

@@ -20,27 +20,6 @@ struct Edge
     int dist;   ///< iteration distance (0 within blocks)
 };
 
-/**
- * Resolve a value reference through accumulator pseudo-nodes.
- *
- * Reading an Acc means reading the value its @c next input produced one
- * iteration earlier (accumulating distance for chained accumulators).
- * Returns the producing node id and the total distance; the producer may
- * itself be a free node, in which case no dependence edge is needed.
- */
-std::pair<uint32_t, int>
-resolveProducer(const KernelGraph &g, uint32_t id)
-{
-    int dist = 0;
-    while (g.nodes[id].op == Opcode::Acc) {
-        id = g.nodes[id].in[1];
-        ++dist;
-        IMAGINE_ASSERT(dist <= 64, "kernel %s: accumulator cycle",
-                       g.name.c_str());
-    }
-    return {id, dist};
-}
-
 /** Edges among scheduled nodes of one region. */
 std::vector<Edge>
 buildEdges(const KernelGraph &g, Region region)
@@ -527,6 +506,19 @@ meanLiveWords(const KernelGraph &g, const MachineConfig &cfg,
 }
 
 } // namespace
+
+std::pair<uint32_t, int>
+resolveProducer(const KernelGraph &g, uint32_t id)
+{
+    int dist = 0;
+    while (g.nodes[id].op == Opcode::Acc) {
+        id = g.nodes[id].in[1];
+        ++dist;
+        IMAGINE_ASSERT(dist <= 64, "kernel %s: accumulator cycle",
+                       g.name.c_str());
+    }
+    return {id, dist};
+}
 
 CompiledKernel
 compile(KernelGraph g, const MachineConfig &cfg,

@@ -20,6 +20,7 @@
 #define IMAGINE_KERNELC_SCHEDULE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "kernelc/dfg.hh"
@@ -106,6 +107,16 @@ struct CompileOptions
  */
 CompiledKernel compile(KernelGraph g, const MachineConfig &cfg,
                        const CompileOptions &opts = {});
+
+/**
+ * Resolve a value reference through accumulator pseudo-nodes: reading
+ * an Acc reads its @c next input one iteration earlier, and chained
+ * accumulators add up.  Returns the producing node id (possibly a free
+ * node) and the total distance.  The scheduler's dependence edges and
+ * the micro-op lowering (predecode.hh) both use it, so they agree.
+ */
+std::pair<uint32_t, int> resolveProducer(const KernelGraph &g,
+                                         uint32_t id);
 
 /** True if @p op needs a schedule slot (false for free value nodes). */
 inline bool

@@ -287,6 +287,76 @@ TEST(ClusterTest, RestartCarriesAccumulators)
     rig.ca.retire();
     EXPECT_FLOAT_EQ(wordToFloat(rig.srf.read(4096)),
                     static_cast<float>(2 * trip));
+
+    // A delay line of three chained accumulators carries its whole
+    // chain across Restarts: over the concatenated segments, output
+    // iteration i is input iteration i - 3 (0 before that), and each
+    // segment's epilogue writes the iteration its end reads.  The
+    // middle segment is shorter than the chain, so its finals and its
+    // epilogue read carried-in values of other accumulators.
+    KernelBuilder db("delay3");
+    int ds = db.addInput();
+    int dout = db.addOutput();
+    int dend = db.addOutput();
+    db.beginLoop();
+    Val a0 = db.accum(db.immI(0));
+    Val a1 = db.accum(db.immI(0));
+    Val a2 = db.accum(db.immI(0));
+    db.accumSet(a0, db.read(ds));
+    db.accumSet(a1, a0);
+    db.accumSet(a2, a1);
+    db.write(dout, db.iadd(a2, db.immI(0)));
+    db.endLoop();
+    db.write(dend, a2);
+    CompiledKernel dk = compile(db.finish(), cfg);
+
+    std::vector<Word> in, got;
+    for (uint32_t segTrip : {16u, 2u, 16u}) {
+        std::vector<Word> part;
+        for (uint32_t i = 0; i < segTrip * numClusters; ++i)
+            part.push_back(static_cast<Word>(in.size() + i + 1));
+        in.insert(in.end(), part.begin(), part.end());
+        // The segment's end reads concatenated iteration end - 3.
+        const size_t endRow = in.size() - 3 * numClusters;
+        if (got.empty()) {
+            auto outs = rig.run(dk, {part});
+            got = outs[0];
+            for (int l = 0; l < numClusters; ++l)
+                EXPECT_EQ(outs[1][l], in[endRow + l]) << "end lane " << l;
+            continue;
+        }
+        Sdr pin{0, static_cast<uint32_t>(part.size())};
+        for (size_t i = 0; i < part.size(); ++i)
+            rig.srf.write(static_cast<uint32_t>(i), part[i]);
+        Sdr pout{4096, pin.length};
+        Sdr pend{8192, numClusters};
+        std::vector<ClusterArray::Binding> bi{
+            {rig.srf.openIn(pin), pin.length}};
+        std::vector<ClusterArray::Binding> bo{
+            {rig.srf.openOut(pout), pout.length},
+            {rig.srf.openOut(pend), pend.length}};
+        rig.ca.start(&dk, bi, bo, 0, /*restart=*/true);
+        uint64_t g = 0;
+        while (!rig.ca.done()) {
+            rig.ca.tick();
+            rig.srf.tick();
+            ASSERT_LT(++g, 100'000u);
+        }
+        rig.ca.retire();
+        rig.srf.close(bi[0].client);
+        ASSERT_EQ(rig.srf.close(bo[0].client), pout.length);
+        ASSERT_EQ(rig.srf.close(bo[1].client), pend.length);
+        for (uint32_t i = 0; i < pout.length; ++i)
+            got.push_back(rig.srf.read(pout.srfOffset + i));
+        for (int l = 0; l < numClusters; ++l)
+            EXPECT_EQ(rig.srf.read(pend.srfOffset + l), in[endRow + l])
+                << "end lane " << l;
+    }
+    ASSERT_EQ(got.size(), in.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        Word want = i < 3 * numClusters ? 0 : in[i - 3 * numClusters];
+        EXPECT_EQ(got[i], want) << "word " << i;
+    }
 }
 
 TEST(ClusterTest, TimingTracksInitiationInterval)

@@ -341,6 +341,44 @@ TEST(PredecodeTest, ZeroTripEveryAppKernel)
     }
 }
 
+TEST(PredecodeTest, DeepAccumulatorChainMatchesReference)
+{
+    // A delay line of d chained accumulators: output i is input i - d
+    // (0 before that).  The read goes d iterations back through the
+    // root's value ring, which must be deep enough to still hold that
+    // row, with or without software pipelining.
+    const uint32_t trip = 40;
+    for (bool swp : {true, false}) {
+        for (int d : {1, 2, 3, 4, 5, 8, 9, 17}) {
+            KernelBuilder kb("delay");
+            int s = kb.addInput();
+            int o = kb.addOutput();
+            kb.beginLoop();
+            Val x = kb.read(s);
+            std::vector<Val> acc;
+            for (int j = 0; j < d; ++j)
+                acc.push_back(kb.accum(kb.immI(0)));
+            kb.accumSet(acc[0], x);
+            for (int j = 1; j < d; ++j)
+                kb.accumSet(acc[j], acc[j - 1]);
+            kb.write(o, kb.iadd(acc.back(), kb.immI(0)));
+            kb.endLoop();
+            MachineConfig cfg = MachineConfig::devBoard();
+            CompileOptions opts;
+            opts.softwarePipelining = swp;
+            CompiledKernel k = compile(kb.finish(), cfg, opts);
+
+            std::vector<std::vector<Word>> in(1);
+            for (uint32_t i = 0; i < trip * numClusters; ++i)
+                in[0].push_back(i + 1);
+            ClusterRig rig(cfg);
+            ReferenceInterp ref(k.graph, in, trip);
+            EXPECT_EQ(rig.run(k, in), ref.run())
+                << "d " << d << " swp " << swp;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Whole apps and machine shapes
 // ---------------------------------------------------------------------
