@@ -103,8 +103,8 @@ Serializer::writeFile(const std::string &path) const
     }
 }
 
-Deserializer::Deserializer(std::vector<uint8_t> image, Context ctx)
-    : ctx_(ctx), image_(std::move(image))
+Deserializer::Deserializer(std::vector<uint8_t> image)
+    : image_(std::move(image))
 {
     size_t pos = 0;
     auto get = [this, &pos](void *p, size_t n) {
@@ -143,9 +143,9 @@ Deserializer::Deserializer(std::vector<uint8_t> image, Context ctx)
 }
 
 Deserializer
-Deserializer::fromFile(const std::string &path, Context ctx)
+Deserializer::fromFile(const std::string &path)
 {
-    return Deserializer(readWholeFile(path), ctx);
+    return Deserializer(readWholeFile(path));
 }
 
 bool

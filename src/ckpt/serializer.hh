@@ -40,9 +40,6 @@
 namespace imagine
 {
 
-struct StreamProgram;
-namespace kernelc { struct CompiledKernel; }
-
 namespace ckpt
 {
 
@@ -51,29 +48,15 @@ inline constexpr uint32_t kMagic = 0x4b434d49u;
 /** v2: the "run" section carries stat names so restore is name-matched
  *  (a trace-on session may restore a trace-off checkpoint and vice
  *  versa; see ImagineSystem::restoreCheckpoint).  v3: the "run" section
- *  drops the skip-attempt hold flag. */
-inline constexpr uint32_t kVersion = 3;
-
-/**
- * Pointer-resolution context threaded through save/load: components
- * serialize kernel pointers as registry indices and scoreboard
- * instruction pointers as program indices, and resolve them back
- * through this context on load.
- */
-struct Context
-{
-    const std::vector<kernelc::CompiledKernel> *kernels = nullptr;
-    const StreamProgram *program = nullptr;
-};
+ *  drops the skip-attempt hold flag.  v4: the "cluster" section keeps
+ *  per-kernel state by kernel id (no LRU clock, no accumulator node
+ *  ids) and the "sc" section drops the microcode size table. */
+inline constexpr uint32_t kVersion = 4;
 
 /** Builds a checkpoint image section by section. */
 class Serializer
 {
   public:
-    explicit Serializer(Context ctx = {}) : ctx_(ctx) {}
-
-    const Context &ctx() const { return ctx_; }
-
     /** Begin a new section; closes the previous one. */
     void section(const std::string &name);
 
@@ -124,7 +107,6 @@ class Serializer
         std::vector<uint8_t> payload;
     };
 
-    Context ctx_;
     std::vector<Section> sections_;
 };
 
@@ -133,11 +115,9 @@ class Deserializer
 {
   public:
     /** Parse @p image; throws SimError(Fatal) on bad magic/version. */
-    explicit Deserializer(std::vector<uint8_t> image, Context ctx = {});
-    static Deserializer fromFile(const std::string &path,
-                                 Context ctx = {});
+    explicit Deserializer(std::vector<uint8_t> image);
+    static Deserializer fromFile(const std::string &path);
 
-    const Context &ctx() const { return ctx_; }
     uint32_t version() const { return version_; }
 
     bool hasSection(const std::string &name) const;
@@ -180,7 +160,6 @@ class Deserializer
     /** Reject counts whose payload cannot fit the section remainder. */
     size_t checkedCount(uint64_t count, size_t elemSize) const;
 
-    Context ctx_;
     uint32_t version_ = 0;
     std::vector<uint8_t> image_;
     struct Span

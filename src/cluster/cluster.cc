@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ckpt/serializer.hh"
-#include "kernelc/compile_cache.hh"
 #include "sim/log.hh"
 #include "sim/stats.hh"
 #include "trace/trace.hh"
@@ -32,8 +31,6 @@ ClusterStats::registerOn(StatsRegistry &reg, const std::string &prefix)
     reg.scalar(prefix + ".sbWrites", &sbWrites);
     reg.scalar(prefix + ".kernelsRun", &kernelsRun);
     reg.scalar(prefix + ".kernelStreamWords", &kernelStreamWords);
-    reg.scalar(prefix + ".bindCachePeakKernels", &bindCachePeakKernels);
-    reg.scalar(prefix + ".bindCacheEvictions", &bindCacheEvictions);
     reg.histogram(prefix + ".kernelCycles", kernelCycleHist,
                   numKernelCycleBuckets);
 }
@@ -48,8 +45,9 @@ using kernelc::CompiledKernel;
 using kernelc::OpMix;
 using kernelc::ScheduledOp;
 
-ClusterArray::ClusterArray(const MachineConfig &cfg, Srf &srf)
-    : cfg_(cfg), srf_(srf), ucrs_(cfg.numUcrs, 0),
+ClusterArray::ClusterArray(const MachineConfig &cfg, Srf &srf,
+                           const KernelRegistry &kernels)
+    : cfg_(cfg), srf_(srf), kernels_(kernels), ucrs_(cfg.numUcrs, 0),
       scratchpad_(cfg.scratchpadWords)
 {
     for (auto &row : scratchpad_)
@@ -65,67 +63,44 @@ ClusterArray::streamElem(uint32_t iter, int lane, uint16_t rec,
 }
 
 void
-ClusterArray::start(const CompiledKernel *k, std::vector<Binding> ins,
+ClusterArray::start(uint16_t kernelId, std::vector<Binding> ins,
                     std::vector<Binding> outs, uint32_t explicitTrip,
                     bool restart)
 {
     IMAGINE_ASSERT(phase_ == Phase::Idle, "kernel launch while busy");
-    IMAGINE_ASSERT(static_cast<int>(ins.size()) == k->graph.numInStreams,
+    const CompiledKernel &k = kernels_[kernelId];
+    IMAGINE_ASSERT(static_cast<int>(ins.size()) == k.graph.numInStreams,
                    "kernel %s expects %d input streams, got %zu",
-                   k->name(), k->graph.numInStreams, ins.size());
-    IMAGINE_ASSERT(static_cast<int>(outs.size()) == k->graph.numOutStreams,
+                   k.name(), k.graph.numInStreams, ins.size());
+    IMAGINE_ASSERT(static_cast<int>(outs.size()) == k.graph.numOutStreams,
                    "kernel %s expects %d output streams, got %zu",
-                   k->name(), k->graph.numOutStreams, outs.size());
-    auto bit = binds_.find(k);
-    if (restart) {
-        IMAGINE_ASSERT(bit != binds_.end() && bit->second.hasRun,
-                       "restart of %s without a prior run", k->name());
-    }
-    if (bit == binds_.end()) {
-        bit = binds_.emplace(k, KernelBind{}).first;
-        // LRU-evict past the cap; never the kernel being launched.
-        size_t cap = static_cast<size_t>(
-            std::max(cfg_.clusterBindCacheKernels, 1));
-        if (binds_.size() > cap) {
-            auto victim = binds_.end();
-            for (auto it = binds_.begin(); it != binds_.end(); ++it) {
-                if (it->first == k)
-                    continue;
-                if (victim == binds_.end() ||
-                    it->second.lastUse < victim->second.lastUse)
-                    victim = it;
-            }
-            binds_.erase(victim);
-            ++stats_.bindCacheEvictions;
-        }
-        stats_.bindCachePeakKernels =
-            std::max(stats_.bindCachePeakKernels,
-                     static_cast<uint64_t>(binds_.size()));
-    }
-    curBind_ = &bit->second;
-    curBind_->hasRun = true;
-    curBind_->lastUse = ++bindClock_;
-    skipPrologue_ = restart && lastKernel_ == k;
-    lastKernel_ = k;
-    kernel_ = k;
+                   k.name(), k.graph.numOutStreams, outs.size());
+    binds_.resize(kernels_.size());
+    KernelBind &bind = binds_[kernelId];
+    IMAGINE_ASSERT(!restart || bind.hasRun,
+                   "restart of %s without a prior run", k.name());
+    bind.hasRun = true;
+    skipPrologue_ = restart && lastKernel_ == kernelId;
+    lastKernel_ = kernelId;
+    kernel_ = kernelId;
     ins_ = std::move(ins);
     outs_ = std::move(outs);
     restart_ = restart;
     insResident_ = false;
 
     // Trip count from the first input stream (all must agree).
-    if (k->graph.numInStreams > 0) {
-        uint32_t wordsPerIter = static_cast<uint32_t>(k->graph.inRec[0]) *
+    if (k.graph.numInStreams > 0) {
+        uint32_t wordsPerIter = static_cast<uint32_t>(k.graph.inRec[0]) *
                                 numClusters;
         IMAGINE_ASSERT(ins_[0].length % wordsPerIter == 0,
                        "kernel %s: stream length %u not a multiple of %u",
-                       k->name(), ins_[0].length, wordsPerIter);
+                       k.name(), ins_[0].length, wordsPerIter);
         trip_ = ins_[0].length / wordsPerIter;
         for (size_t s = 1; s < ins_.size(); ++s) {
-            uint32_t expect = trip_ * k->graph.inRec[s] * numClusters;
+            uint32_t expect = trip_ * k.graph.inRec[s] * numClusters;
             IMAGINE_ASSERT(ins_[s].length == expect,
                            "kernel %s: input %zu length %u, expected %u",
-                           k->name(), s, ins_[s].length, expect);
+                           k.name(), s, ins_[s].length, expect);
         }
     } else {
         trip_ = explicitTrip;
@@ -140,12 +115,12 @@ ClusterArray::start(const CompiledKernel *k, std::vector<Binding> ins,
         // Fresh value buffers; the prologue (if any) re-materializes
         // loop invariants.  A back-to-back restart of the same kernel
         // keeps them live instead.
-        values_.assign(static_cast<size_t>(k->graph.nodes.size()) *
+        values_.assign(static_cast<size_t>(k.graph.nodes.size()) *
                            low_->depth * numClusters,
                        0);
     }
     if (!restart_)
-        curBind_->saved.clear();
+        bind.saved.clear();
     proCursor_ = 0;
     epiCursor_ = 0;
 
@@ -171,31 +146,29 @@ ClusterArray::start(const CompiledKernel *k, std::vector<Binding> ins,
 void
 ClusterArray::bindDerived()
 {
-    const CompiledKernel *k = kernel_;
+    const CompiledKernel &k = kernel();
 
-    // The pre-decoded micro-op trace, shared process-wide through the
-    // compile cache; every table below is read off it.
-    if (!curBind_->lowered)
-        curBind_->lowered = kernelc::CompileCache::instance().lowered(*k);
-    low_ = curBind_->lowered.get();
+    // The kernel's pre-decoded micro-op trace; every table below is
+    // read off it.
+    low_ = k.lowered.get();
     const kernelc::LoweredRegion &L = low_->loop;
 
     uint64_t span = 0;
     uint64_t minTime = UINT64_MAX;
-    for (const ScheduledOp &s : k->loop.ops) {
+    for (const ScheduledOp &s : k.loop.ops) {
         span = std::max<uint64_t>(span, static_cast<uint64_t>(s.time) + 1);
         minTime = std::min<uint64_t>(minTime,
                                      static_cast<uint64_t>(s.time));
     }
-    bool emptyLoop = k->loop.ops.empty() || trip_ == 0;
+    bool emptyLoop = k.loop.ops.empty() || trip_ == 0;
     loopWindow_ = emptyLoop
                       ? 0
-                      : (static_cast<uint64_t>(trip_) - 1) * k->loop.ii +
+                      : (static_cast<uint64_t>(trip_) - 1) * k.loop.ii +
                             span;
     loopTotal_ = emptyLoop
                      ? 0
-                     : (static_cast<uint64_t>(trip_) - 1) * k->loop.ii +
-                           kernel_->loop.length;
+                     : (static_cast<uint64_t>(trip_) - 1) * k.loop.ii +
+                           k.loop.length;
     // Steady-state window: once every op is past its first issue
     // (t >= span - 1) and before any op's final iteration expires
     // (t < minTime + trip * ii), every op of a bucket is live.
@@ -236,7 +209,7 @@ ClusterArray::bindDerived()
     } else {
         steadyLo_ = span - 1;
         steadyHi_ = std::min(minTime + static_cast<uint64_t>(trip_) *
-                                           k->loop.ii,
+                                           k.loop.ii,
                              loopWindow_);
         steadyHi_ = std::max(steadyHi_, steadyLo_);
     }
@@ -248,7 +221,7 @@ ClusterArray::bindDerived()
     // the kernel degenerates to startup + one empty loop cycle +
     // shutdown.  Loop-less kernels (trip_ == 0 with no loop ops) keep
     // their prologue: it IS the computation.
-    skipBlocks_ = trip_ == 0 && !k->loop.ops.empty();
+    skipBlocks_ = trip_ == 0 && !k.loop.ops.empty();
     epiRowSlot_ = trip_ > 0 ? ((trip_ - 1) & low_->mask) : 0;
 
     // Sampled-fidelity fold plan (DESIGN.md section 12).  Short loops
@@ -265,9 +238,9 @@ void
 ClusterArray::planSampling()
 {
     using kernelc::MicroHandler;
-    const CompiledKernel *k = kernel_;
+    const CompiledKernel &k = kernel();
     const kernelc::LoweredRegion &L = low_->loop;
-    const uint64_t ii = k->loop.ii;
+    const uint64_t ii = low_->ii;
     // Conditional output streams append a data-dependent number of
     // words per iteration; a fold cannot reproduce their element
     // positions without executing the predicate, so such kernels run at
@@ -295,7 +268,7 @@ ClusterArray::planSampling()
     // enough that rate quantization stays well under the error bound.
     const uint64_t minStratum =
         std::max<uint64_t>(96,
-                           static_cast<uint64_t>(k->loop.stages()) + 2);
+                           static_cast<uint64_t>(k.loop.stages()) + 2);
     const uint64_t exact = std::max<uint64_t>(
         4 * minStratum,
         static_cast<uint64_t>(sampleFraction_ *
@@ -348,7 +321,7 @@ ClusterArray::executeFold()
     using kernelc::MicroHandler;
     IMAGINE_ASSERT(foldArmed(), "executeFold without an armed fold");
     const FoldRegion &fr = foldPlan_[foldNext_];
-    const uint64_t ii = kernel_->loop.ii;
+    const uint64_t ii = low_->ii;
     const kernelc::LoweredRegion &L = low_->loop;
 
     // Stall estimate: stalls per issued loop position, measured over
@@ -554,9 +527,10 @@ ClusterArray::traceKernelStart()
     // Per-FU busy cycles come straight from the schedule: every
     // scheduled op occupies its assigned unit for opOccupancy cycles,
     // loop ops once per iteration.
+    const CompiledKernel &k = kernel();
     traceFuBusy_.assign(fuTracks_.size(), 0);
-    auto account = [this](const ScheduledOp &s, uint64_t times) {
-        Opcode op = kernel_->graph.nodes[s.node].op;
+    auto account = [this, &k](const ScheduledOp &s, uint64_t times) {
+        Opcode op = k.graph.nodes[s.node].op;
         FuClass cls = opInfo(op).cls;
         if (cls == FuClass::None)
             return;
@@ -567,17 +541,17 @@ ClusterArray::traceKernelStart()
         traceFuBusy_[idx] +=
             times * static_cast<uint64_t>(opOccupancy(op, cfg_));
     };
-    for (const ScheduledOp &s : kernel_->loop.ops)
+    for (const ScheduledOp &s : k.loop.ops)
         account(s, trip_);
     if (!skipBlocks_) {
         if (!skipPrologue_)
-            for (const ScheduledOp &s : kernel_->prologue.ops)
+            for (const ScheduledOp &s : k.prologue.ops)
                 account(s, 1);
-        for (const ScheduledOp &s : kernel_->epilogue.ops)
+        for (const ScheduledOp &s : k.epilogue.ops)
             account(s, 1);
     }
     trace_->openSpan(tKernel_, traceKernelStart_,
-                     trace_->intern(kernel_->name()), trip_);
+                     trace_->intern(k.name()), trip_);
     trace_->openSpan(tPhase_, traceKernelStart_, "startup");
 }
 
@@ -638,11 +612,12 @@ ClusterArray::resolveSrc(const kernelc::MicroSrc &s, uint32_t iter,
         // saved final, or the init.  The epilogue runs after the finals
         // are taken, so there the read is the head's own final.
         if (iter < s.dist) {
+            const KernelBind &bind = binds_[kernel_];
             if (phase_ == Phase::Epilogue)
-                return curBind_->saved[low_->chainSlots[s.chain]].data();
+                return bind.saved[low_->chainSlots[s.chain]].data();
             uint32_t slot = low_->chainSlots[s.chain + iter];
-            if (restart_ && !curBind_->saved.empty())
-                return curBind_->saved[slot].data();
+            if (restart_ && !bind.saved.empty())
+                return bind.saved[slot].data();
             return resolveSrc(low_->accs[slot].init, 0, 0, scratch);
         }
         iter -= s.dist;
@@ -754,6 +729,34 @@ ClusterArray::execMicro(const kernelc::MicroOp &m, uint32_t iter,
 }
 
 bool
+ClusterArray::streamReady(const kernelc::MicroOp &m, uint32_t iter) const
+{
+    using kernelc::MicroHandler;
+    switch (m.h) {
+      case MicroHandler::In:
+        return srf_.inReady(ins_[m.streamIdx].client,
+                            streamElem(iter, numClusters - 1, m.rec,
+                                       m.elemIdx));
+      case MicroHandler::OutLoop:
+        return srf_.outCanAccept(outs_[m.streamIdx].client,
+                                 streamElem(iter, numClusters - 1, m.rec,
+                                            m.elemIdx));
+      case MicroHandler::OutEpilogue:
+        return srf_.outCanAccept(outs_[m.streamIdx].client,
+                                 trip_ * m.rec * numClusters +
+                                     m.elemIdx * numClusters +
+                                     (numClusters - 1));
+      case MicroHandler::OutCond: {
+        int client = outs_[m.streamIdx].client;
+        return srf_.outCanAccept(client, srf_.outAppendPos(client) +
+                                             numClusters - 1);
+      }
+      default:
+        return true;
+    }
+}
+
+bool
 ClusterArray::microLoopCanIssue(size_t b, uint64_t iterBase,
                                 bool filter) const
 {
@@ -766,78 +769,8 @@ ClusterArray::microLoopCanIssue(size_t b, uint64_t iterBase,
         uint32_t st = L.stage[i];
         if (filter && (st > iterBase || iterBase - st >= trip_))
             continue;
-        uint32_t iter = static_cast<uint32_t>(iterBase - st);
-        switch (m.h) {
-          case MicroHandler::In:
-            if (!srf_.inReady(ins_[m.streamIdx].client,
-                              streamElem(iter, numClusters - 1, m.rec,
-                                         m.elemIdx)))
-                return false;
-            break;
-          case MicroHandler::OutLoop:
-            if (!srf_.outCanAccept(outs_[m.streamIdx].client,
-                                   streamElem(iter, numClusters - 1,
-                                              m.rec, m.elemIdx)))
-                return false;
-            break;
-          case MicroHandler::OutEpilogue:
-            if (!srf_.outCanAccept(outs_[m.streamIdx].client,
-                                   trip_ * m.rec * numClusters +
-                                       m.elemIdx * numClusters +
-                                       (numClusters - 1)))
-                return false;
-            break;
-          default: {  // OutCond
-            int client = outs_[m.streamIdx].client;
-            if (!srf_.outCanAccept(client,
-                                   srf_.outAppendPos(client) +
-                                       numClusters - 1))
-                return false;
-            break;
-          }
-        }
-    }
-    return true;
-}
-
-bool
-ClusterArray::microBlockCanIssue(const kernelc::LoweredRegion &L,
-                                 size_t begin, size_t end) const
-{
-    using kernelc::MicroHandler;
-    for (size_t i = begin; i < end; ++i) {
-        const kernelc::MicroOp &m = L.ops[i];
-        switch (m.h) {
-          case MicroHandler::In:
-            if (!srf_.inReady(ins_[m.streamIdx].client,
-                              streamElem(trip_, numClusters - 1, m.rec,
-                                         m.elemIdx)))
-                return false;
-            break;
-          case MicroHandler::OutLoop:
-            if (!srf_.outCanAccept(outs_[m.streamIdx].client,
-                                   streamElem(trip_, numClusters - 1,
-                                              m.rec, m.elemIdx)))
-                return false;
-            break;
-          case MicroHandler::OutEpilogue:
-            if (!srf_.outCanAccept(outs_[m.streamIdx].client,
-                                   trip_ * m.rec * numClusters +
-                                       m.elemIdx * numClusters +
-                                       (numClusters - 1)))
-                return false;
-            break;
-          case MicroHandler::OutCond: {
-            int client = outs_[m.streamIdx].client;
-            if (!srf_.outCanAccept(client,
-                                   srf_.outAppendPos(client) +
-                                       numClusters - 1))
-                return false;
-            break;
-          }
-          default:
-            break;
-        }
+        if (!streamReady(m, static_cast<uint32_t>(iterBase - st)))
+            return false;
     }
     return true;
 }
@@ -848,8 +781,8 @@ ClusterArray::execLoopPositionMicro(uint64_t p)
     if (p >= loopWindow_)
         return;
     const kernelc::LoweredRegion &L = low_->loop;
-    uint64_t ib = p / kernel_->loop.ii;
-    size_t b = static_cast<size_t>(p % kernel_->loop.ii);
+    uint64_t ib = p / low_->ii;
+    size_t b = static_cast<size_t>(p % low_->ii);
     uint32_t mask = low_->mask;
     for (uint32_t i = L.bucketBegin[b]; i < L.bucketBegin[b + 1]; ++i) {
         uint32_t st = L.stage[i];
@@ -885,13 +818,14 @@ ClusterArray::finishLoopBookkeeping()
         const Word *w = resolveSrc(low_->accs[a].fin, trip_, 0, scratch);
         std::copy(w, w + numClusters, fin[a].begin());
     }
-    curBind_->saved = std::move(fin);
+    binds_[kernel_].saved = std::move(fin);
     // Software-pipeline priming/drain attribution (the paper counts
     // priming iterations as non-main-loop time).
-    uint64_t priming = static_cast<uint64_t>(kernel_->loop.stages() - 1) *
-                       kernel_->loop.ii;
+    const CompiledKernel &k = kernel();
+    uint64_t priming = static_cast<uint64_t>(k.loop.stages() - 1) *
+                       low_->ii;
     stats_.primingCycles += std::min(priming, loopTotal_);
-    accountMix(kernel_->loopMix, trip_);
+    accountMix(k.loopMix, trip_);
 
     // Finalize the launch's sampled-fidelity record.  The error bound
     // combines a fixed floor (strata edge effects plus the residual
@@ -910,7 +844,7 @@ ClusterArray::finishLoopBookkeeping()
             foldReportIdx_.try_emplace(kernel_, foldReport_.size());
         if (fresh) {
             KernelFoldRecord r;
-            r.name = kernel_->name();
+            r.name = k.name();
             foldReport_.push_back(std::move(r));
         }
         KernelFoldRecord &rec = foldReport_[it->second];
@@ -970,7 +904,7 @@ ClusterArray::tick()
                 foldStallMark_ = stats_.stallCycles;
             }
             if (phase_ == Phase::Prologue)
-                accountMix(kernel_->prologueMix, 1);
+                accountMix(kernel().prologueMix, 1);
             if (trace_)
                 tracePhase(phase_ == Phase::Prologue ? "prologue"
                                                      : "loop");
@@ -986,7 +920,7 @@ ClusterArray::tick()
             ++proCursor_;
         }
         ++stats_.prologueCycles;
-        if (++t_ >= static_cast<uint64_t>(kernel_->prologue.length)) {
+        if (++t_ >= static_cast<uint64_t>(kernel().prologue.length)) {
             phase_ = Phase::Loop;
             t_ = 0;
             foldPosMark_ = 0;
@@ -1017,16 +951,16 @@ ClusterArray::tick()
         // The stage array filters liveness outside the steady-state
         // window; the stream check walks only the bucket's contiguous
         // records.
-        size_t b = static_cast<size_t>(t_ % kernel_->loop.ii);
+        size_t b = static_cast<size_t>(t_ % low_->ii);
         bool steady = t_ >= steadyLo_ && t_ < steadyHi_;
         if (t_ < loopWindow_ && low_->loop.bucketHasStream[b] &&
-            !microLoopCanIssue(b, t_ / kernel_->loop.ii, !steady)) {
+            !microLoopCanIssue(b, t_ / low_->ii, !steady)) {
             ++stats_.stallCycles;
             if (trace_)
                 trace_->touchSpan(tStall_, "stall");
             if (++stallWatchdog_ > 2'000'000) {
                 IMAGINE_PANIC("kernel %s wedged in main loop at t=%llu",
-                              kernel_->name(),
+                              kernel().name(),
                               static_cast<unsigned long long>(t_));
             }
             break;
@@ -1043,7 +977,7 @@ ClusterArray::tick()
                          ? Phase::Shutdown
                          : Phase::Epilogue;
             if (phase_ == Phase::Epilogue)
-                accountMix(kernel_->epilogueMix, 1);
+                accountMix(kernel().epilogueMix, 1);
             t_ = 0;
             if (trace_)
                 tracePhase(phase_ == Phase::Epilogue ? "epilogue"
@@ -1058,15 +992,16 @@ ClusterArray::tick()
         while (begin < L.ops.size() && L.stage[begin] < t_)
             ++begin;
         size_t end = begin;
-        while (end < L.ops.size() && L.stage[end] == t_)
-            ++end;
-        if (!microBlockCanIssue(L, begin, end)) {
+        bool ready = true;
+        for (; end < L.ops.size() && L.stage[end] == t_; ++end)
+            ready = ready && streamReady(L.ops[end], trip_);
+        if (!ready) {
             ++stats_.stallCycles;
             if (trace_)
                 trace_->touchSpan(tStall_, "stall");
             if (++stallWatchdog_ > 2'000'000)
                 IMAGINE_PANIC("kernel %s wedged in epilogue",
-                              kernel_->name());
+                              kernel().name());
             break;
         }
         stallWatchdog_ = 0;
@@ -1074,7 +1009,7 @@ ClusterArray::tick()
             execMicro(L.ops[i], trip_, epiRowSlot_);
         epiCursor_ = end;
         ++stats_.epilogueCycles;
-        if (++t_ >= static_cast<uint64_t>(kernel_->epilogue.length)) {
+        if (++t_ >= static_cast<uint64_t>(kernel().epilogue.length)) {
             phase_ = Phase::Shutdown;
             t_ = 0;
             if (trace_)
@@ -1144,7 +1079,7 @@ ClusterArray::nextEventAfter(Cycle now) const
         // re-ticks the same stream bucket, which reports now + 1.
         if (t_ + 1 >= loopTotal_)
             return now + 1;
-        size_t b = static_cast<size_t>(t_ % kernel_->loop.ii);
+        size_t b = static_cast<size_t>(t_ % low_->ii);
         if (bucketHasOut_[b])
             return now + 1;
         uint64_t o;
@@ -1185,8 +1120,8 @@ ClusterArray::nextEventAfter(Cycle now) const
             phase_ == Phase::Prologue ? low_->prologue.stage
                                       : low_->epilogue.stage;
         uint64_t len = phase_ == Phase::Prologue
-                           ? kernel_->prologue.length
-                           : kernel_->epilogue.length;
+                           ? kernel().prologue.length
+                           : kernel().epilogue.length;
         if (t_ + 1 >= len)
             return now + 1;
         // Block stage arrays hold the sorted issue times.
@@ -1254,43 +1189,17 @@ ClusterArray::skipIdle(Cycle from, uint64_t span)
 void
 ClusterArray::saveState(ckpt::Serializer &s) const
 {
-    const std::vector<kernelc::CompiledKernel> &reg = *s.ctx().kernels;
-    // Kernel pointers always point into the system's registry; encode
-    // them as registry indices (UINT32_MAX = null).
-    auto kernelIdx = [&reg](const CompiledKernel *k) -> uint32_t {
-        return k ? static_cast<uint32_t>(k - reg.data()) : UINT32_MAX;
-    };
     s.vec(ucrs_);
     s.vec(scratchpad_);
-    s.u64(bindClock_);
-    // Bind cache sorted by registry index so the byte image is
-    // independent of hash-map iteration order.
-    std::vector<std::pair<uint32_t, const KernelBind *>> entries;
-    entries.reserve(binds_.size());
-    for (const auto &[k, b] : binds_)
-        entries.emplace_back(kernelIdx(k), &b);
-    std::sort(entries.begin(), entries.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    s.u64(entries.size());
-    for (const auto &[idx, b] : entries) {
-        s.u32(idx);
-        s.b(b->hasRun);
-        s.u64(b->lastUse);
-        // Saved finals as (node id, lanes) pairs in slot (= id) order.
-        const std::vector<uint32_t> ids =
-            kernelc::accumulatorNodes(reg[idx].graph);
-        s.u64(b->saved.size());
-        for (size_t a = 0; a < b->saved.size(); ++a) {
-            s.u32(ids[a]);
-            s.bytes(b->saved[a].data(), sizeof b->saved[a]);
-        }
-        // The lowered trace is shared process-wide via the compile
-        // cache and re-fetched on rebind; never serialized.
+    // Per-kernel state in kernel-id order; the lowered traces belong to
+    // the registry and are never serialized.
+    s.u64(binds_.size());
+    for (const KernelBind &b : binds_) {
+        s.b(b.hasRun);
+        s.vec(b.saved);
     }
-    s.u32(kernelIdx(kernel_));
-    s.u32(kernelIdx(lastKernel_));
+    s.u16(kernel_);
+    s.u16(lastKernel_);
     s.u64(ins_.size());
     for (const Binding &b : ins_) {
         s.i32(b.client);
@@ -1317,32 +1226,26 @@ ClusterArray::saveState(ckpt::Serializer &s) const
 void
 ClusterArray::loadState(ckpt::Deserializer &d)
 {
-    const std::vector<kernelc::CompiledKernel> &reg = *d.ctx().kernels;
-    auto kernelAt = [&reg](uint32_t idx) -> const CompiledKernel * {
-        return idx == UINT32_MAX ? nullptr : &reg.at(idx);
-    };
     ucrs_ = d.vec<Word>();
     scratchpad_ = d.vec<std::array<Word, numClusters>>();
-    bindClock_ = d.u64();
-    binds_.clear();
-    for (uint64_t i = 0, n = d.u64(); i < n; ++i) {
-        const CompiledKernel *k = kernelAt(d.u32());
-        KernelBind &b = binds_[k];
+    const uint64_t n = d.u64();
+    if (n > kernels_.size())
+        IMAGINE_FATAL("checkpoint: state for %llu kernels, %zu registered",
+                      static_cast<unsigned long long>(n), kernels_.size());
+    binds_.assign(n, KernelBind{});
+    for (size_t id = 0; id < n; ++id) {
+        KernelBind &b = binds_[id];
         b.hasRun = d.b();
-        b.lastUse = d.u64();
-        const uint64_t na = d.u64();
-        if (na && (!k || na != kernelc::accumulatorNodes(k->graph).size()))
-            IMAGINE_FATAL("checkpoint: %llu saved accumulators mismatch",
-                          static_cast<unsigned long long>(na));
-        b.saved.resize(na);
-        for (auto &fin : b.saved) {
-            d.u32();    // node id: slots run in ascending id order
-            d.bytes(fin.data(), sizeof fin);
-        }
+        b.saved = d.vec<std::array<Word, numClusters>>();
+        if (!b.saved.empty() &&
+            b.saved.size() != kernels_[id].lowered->accs.size())
+            IMAGINE_FATAL("checkpoint: %zu saved accumulators mismatch",
+                          b.saved.size());
     }
-    kernel_ = kernelAt(d.u32());
-    lastKernel_ = kernelAt(d.u32());
-    curBind_ = kernel_ ? &binds_[kernel_] : nullptr;
+    kernel_ = d.u16();
+    lastKernel_ = d.u16();
+    if (kernel_ != kNoKernel && kernel_ >= n)
+        IMAGINE_FATAL("checkpoint: kernel id %u out of range", kernel_);
     ins_.assign(d.u64(), Binding{});
     for (Binding &b : ins_) {
         b.client = d.i32();
@@ -1364,9 +1267,9 @@ ClusterArray::loadState(ckpt::Deserializer &d)
     proCursor_ = d.u64();
     epiCursor_ = d.u64();
     values_ = d.vec<Word>();
-    // Everything derived from (kernel, trip, bind) is recomputed, not
+    // Everything derived from (kernel, trip) is recomputed, not
     // restored: same inputs, same tables.
-    if (kernel_)
+    if (kernel_ != kNoKernel)
         bindDerived();
 }
 

@@ -2,7 +2,9 @@
  * @file
  * The eight-cluster SIMD arithmetic array and its micro-controller.
  *
- * The array executes one compiled kernel at a time.  Execution is both
+ * The array executes one compiled kernel at a time, named by its id in
+ * the session's KernelRegistry (as a stream instruction names it); all
+ * per-kernel state is indexed by that id.  Execution is both
  * *functional* (every op computes real data; stream outputs hold the
  * kernel's actual results) and *cycle-timed* (ops issue at the cycles
  * the VLIW schedule assigned; the whole array stalls in SIMD lockstep
@@ -21,7 +23,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -37,6 +38,10 @@ namespace imagine
 
 class StatsRegistry;
 namespace trace { class TraceSink; }
+
+/** Registered, compiled kernels addressable by stream instructions:
+ *  a kernel's id is its index.  Grows only. */
+using KernelRegistry = std::vector<kernelc::CompiledKernel>;
 
 /** Cumulative cluster-array statistics. */
 struct ClusterStats
@@ -62,11 +67,6 @@ struct ClusterStats
 
     uint64_t kernelsRun = 0;
     uint64_t kernelStreamWords = 0; ///< sum of per-run max stream length
-
-    /** High-water mark of per-kernel bind-cache entries (monotone). */
-    uint64_t bindCachePeakKernels = 0;
-    /** Bind-cache entries evicted past the LRU cap. */
-    uint64_t bindCacheEvictions = 0;
 
     /** Per-launch kernel run lengths, power-of-two bucketed. */
     static constexpr size_t numKernelCycleBuckets = 16;
@@ -108,12 +108,13 @@ class ClusterArray : public Component
         uint32_t length = 0;    ///< stream length in words
     };
 
-    ClusterArray(const MachineConfig &cfg, Srf &srf);
+    ClusterArray(const MachineConfig &cfg, Srf &srf,
+                 const KernelRegistry &kernels);
 
     /**
      * Launch a kernel.
      *
-     * @param k compiled kernel (must outlive the run)
+     * @param kernelId the kernel's index in the registry
      * @param ins input bindings, one per kernel input stream
      * @param outs output bindings, one per kernel output stream
      * @param explicitTrip trip count for kernels with no input stream
@@ -122,9 +123,9 @@ class ClusterArray : public Component
      *        recently the prologue is skipped (loop invariants are
      *        still live in the cluster registers)
      */
-    void start(const kernelc::CompiledKernel *k,
-               std::vector<Binding> ins, std::vector<Binding> outs,
-               uint32_t explicitTrip = 0, bool restart = false);
+    void start(uint16_t kernelId, std::vector<Binding> ins,
+               std::vector<Binding> outs, uint32_t explicitTrip = 0,
+               bool restart = false);
 
     bool busy() const { return phase_ != Phase::Idle; }
     /** Kernel retired and all output data drained into the SRF. */
@@ -196,18 +197,23 @@ class ClusterArray : public Component
   private:
     enum class Phase : uint8_t
     {
-        Idle, Startup, Prologue, Loop, LoopDrain, Epilogue, Shutdown,
-        Done
+        Idle, Startup, Prologue, Loop, Epilogue, Shutdown, Done
     };
+
+    /** No kernel (kernel_ / lastKernel_ before any launch). */
+    static constexpr uint16_t kNoKernel = UINT16_MAX;
+
+    const kernelc::CompiledKernel &kernel() const
+    {
+        return kernels_[kernel_];
+    }
 
     /**
      * Re-derive every launch table that is a pure function of the bound
-     * kernel, trip count, config and bind-cache entry: the lowered
-     * micro-op trace, loop extents, steady-state window, sweep tables
-     * and the fold plan.  Called by start() at launch and by
-     * loadState() after a restore (the lowered trace is re-fetched from
-     * the process-wide CompileCache rather than serialized, so a
-     * restored run rebinds deterministically).
+     * kernel, trip count and config: loop extents, steady-state window,
+     * sweep tables and the fold plan, all read off the kernel's lowered
+     * trace.  Called by start() at launch and by loadState() after a
+     * restore, so a restored run rebinds deterministically.
      */
     void bindDerived();
 
@@ -231,21 +237,22 @@ class ClusterArray : public Component
     /** Execute one micro-op for all lanes. */
     void execMicro(const kernelc::MicroOp &m, uint32_t iter,
                    uint32_t rowSlot);
+    /** True when micro-op @p m can move its 8 stream words at
+     *  iteration @p iter (always true for a non-stream op). */
+    bool streamReady(const kernelc::MicroOp &m, uint32_t iter) const;
     /** Stream-readiness check for loop bucket @p b at iteration base. */
     bool microLoopCanIssue(size_t b, uint64_t iterBase,
                            bool filter) const;
-    /** Stream-readiness check for a block-region micro-op group. */
-    bool microBlockCanIssue(const kernelc::LoweredRegion &L,
-                            size_t begin, size_t end) const;
     /** Execute every live micro-op at loop position @p p. */
     void execLoopPositionMicro(uint64_t p);
 
     const MachineConfig &cfg_;
     Srf &srf_;
+    const KernelRegistry &kernels_;
     std::vector<Word> ucrs_;
 
     // Active-kernel state ------------------------------------------------
-    const kernelc::CompiledKernel *kernel_ = nullptr;
+    uint16_t kernel_ = kNoKernel;
     std::vector<Binding> ins_, outs_;
     uint32_t trip_ = 0;
     Phase phase_ = Phase::Idle;
@@ -255,27 +262,18 @@ class ClusterArray : public Component
 
     std::vector<Word> values_;  ///< [node][iter & mask][lane]
     std::vector<std::array<Word, numClusters>> scratchpad_;
-    /**
-     * Per-kernel bind-time state: run history (Restart guard), the
-     * accumulator finals a Restart carries over, the shared lowered
-     * micro-op trace, and an LRU stamp.  Entries past
-     * cfg.clusterBindCacheKernels are evicted least-recently-launched
-     * first.
-     */
+    /** Per-kernel state: run history (Restart guard) and the
+     *  accumulator finals a Restart carries over. */
     struct KernelBind
     {
         bool hasRun = false;
-        uint64_t lastUse = 0;
         /** Finals by LoweredKernel::accs slot: all of them, taken at
          *  every loop exit, or none (cleared by a non-Restart launch). */
         std::vector<std::array<Word, numClusters>> saved;
-        std::shared_ptr<const kernelc::LoweredKernel> lowered;
     };
-    std::unordered_map<const kernelc::CompiledKernel *, KernelBind>
-        binds_;
-    uint64_t bindClock_ = 0;
-    KernelBind *curBind_ = nullptr;
-    const kernelc::CompiledKernel *lastKernel_ = nullptr;
+    /** Indexed by kernel id; grown to the registry's size at launch. */
+    std::vector<KernelBind> binds_;
+    uint16_t lastKernel_ = kNoKernel;
     bool skipPrologue_ = false;
     /** Zero-trip launch of a real loop: no prologue or epilogue. */
     bool skipBlocks_ = false;
@@ -312,7 +310,8 @@ class ClusterArray : public Component
     uint64_t stallWatchdog_ = 0;
     /** Latched insResident() result for the current launch. */
     mutable bool insResident_ = false;
-    /** Lowered trace of the current kernel (owned by curBind_). */
+    /** Lowered trace of the current kernel (shared by its registry
+     *  entry; it outlives the registry vector's reallocation). */
     const kernelc::LoweredKernel *low_ = nullptr;
     /** Row slot epilogue consumers read: (trip-1) & mask (0 if trip 0). */
     uint32_t epiRowSlot_ = 0;
@@ -358,8 +357,7 @@ class ClusterArray : public Component
     double launchRateMin_ = 0.0;
     double launchRateMax_ = 0.0;
     std::vector<KernelFoldRecord> foldReport_;
-    std::unordered_map<const kernelc::CompiledKernel *, size_t>
-        foldReportIdx_;
+    std::unordered_map<uint16_t, size_t> foldReportIdx_;  ///< by kernel id
 
     // --- tracing (DESIGN.md section 10; all dead when trace_ null) ----
     /** Close the open phase span and (unless null) open @p name. */

@@ -111,7 +111,6 @@ configFingerprint(const MachineConfig &c)
     mix(c.faults.memEcc);
     mix(c.faults.maxRetries);
     mix(c.watchdogStagnationCycles);
-    mix(c.clusterBindCacheKernels);
     return h;
 }
 
@@ -145,7 +144,8 @@ kernelsFingerprint(const KernelRegistry &ks)
 } // namespace
 
 ImagineSystem::ImagineSystem(const MachineConfig &cfg)
-    : cfg_(cfg), srf_(cfg_), mem_(cfg_, srf_), clusters_(cfg_, srf_),
+    : cfg_(cfg), srf_(cfg_), mem_(cfg_, srf_),
+      clusters_(cfg_, srf_, kernels_),
       sc_(cfg_, srf_, mem_, clusters_, kernels_), host_(cfg_, sc_),
       components_{&host_, &sc_, &clusters_, &mem_, &srf_}
 {
@@ -182,12 +182,6 @@ ImagineSystem::ImagineSystem(const MachineConfig &cfg)
     });
     stats_.scalar("kernelc.cacheMisses", [] {
         return kernelc::CompileCache::instance().misses();
-    });
-    stats_.scalar("kernelc.loweredHits", [] {
-        return kernelc::CompileCache::instance().loweredHits();
-    });
-    stats_.scalar("kernelc.loweredMisses", [] {
-        return kernelc::CompileCache::instance().loweredMisses();
     });
 }
 
@@ -738,7 +732,7 @@ ImagineSystem::saveCheckpoint(const std::string &path,
                               const StatsSnapshot &before,
                               const SimError *err) const
 {
-    ckpt::Serializer s(ckpt::Context{&kernels_, &program});
+    ckpt::Serializer s;
     s.section("meta");
     s.u64(configFingerprint(cfg_));
     s.u64(programFingerprint(program));
@@ -793,8 +787,7 @@ ImagineSystem::restoreCheckpoint(const std::string &path,
                                  size_t &trace0,
                                  StatsSnapshot &before)
 {
-    ckpt::Deserializer d = ckpt::Deserializer::fromFile(
-        path, ckpt::Context{&kernels_, &program});
+    ckpt::Deserializer d = ckpt::Deserializer::fromFile(path);
     d.section("meta");
     auto verify = [&path](const char *what, uint64_t got,
                           uint64_t want) {

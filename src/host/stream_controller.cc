@@ -210,7 +210,8 @@ StreamController::instrDone(uint32_t idx) const
 bool
 StreamController::ucodeResident(uint16_t kernelId) const
 {
-    return ucodeSize_.count(kernelId) != 0;
+    return std::find(ucodeLru_.begin(), ucodeLru_.end(), kernelId) !=
+           ucodeLru_.end();
 }
 
 bool
@@ -235,10 +236,8 @@ StreamController::startUcodeLoad(uint16_t kernelId, Cycle now)
     // Evict least-recently-used kernels until the new one fits.
     while (ucodeUsed_ + k.ucodeInstrs > cfg_.ucodeStoreInstrs) {
         IMAGINE_ASSERT(!ucodeLru_.empty(), "microcode store accounting");
-        uint16_t victim = ucodeLru_.back();
+        ucodeUsed_ -= kernels_[ucodeLru_.back()].ucodeInstrs;
         ucodeLru_.pop_back();
-        ucodeUsed_ -= ucodeSize_[victim];
-        ucodeSize_.erase(victim);
     }
     uint32_t words = static_cast<uint32_t>(k.ucodeInstrs) *
                      cfg_.ucodeWordsPerInstr;
@@ -348,7 +347,7 @@ StreamController::dispatch(Slot &s, Cycle now)
         // Snapshot kernel parameters into the micro-controller.
         for (int i = 0; i < cfg_.numUcrs; ++i)
             clusters_.setUcr(i, ucrs_[static_cast<size_t>(i)]);
-        clusters_.start(&k, std::move(ins), std::move(outs),
+        clusters_.start(si.kernelId, std::move(ins), std::move(outs),
                         si.explicitTrip,
                         si.kind == StreamOpKind::Restart);
         // Mark recency for the microcode store.
@@ -451,9 +450,7 @@ StreamController::tick(Cycle now)
             inj_->noteRetry();
             startUcodeLoad(kernelId, now);
         } else {
-            const kernelc::CompiledKernel &k = kernels_[ucodeLoading_];
-            ucodeSize_[ucodeLoading_] = k.ucodeInstrs;
-            ucodeUsed_ += k.ucodeInstrs;
+            ucodeUsed_ += kernels_[ucodeLoading_].ucodeInstrs;
             ucodeLru_.push_front(ucodeLoading_);
             ucodeLoadAg_ = -1;
             ucodeLoading_ = UINT16_MAX;
@@ -786,16 +783,6 @@ StreamController::saveState(ckpt::Serializer &s) const
     s.u64(ucodeLru_.size());
     for (uint16_t id : ucodeLru_)
         s.u16(id);
-    // ucodeSize_ is unordered; sort by kernel id for a stable byte
-    // image (bisect compares sections byte-for-byte).
-    std::vector<std::pair<uint16_t, int>> sizes(ucodeSize_.begin(),
-                                                ucodeSize_.end());
-    std::sort(sizes.begin(), sizes.end());
-    s.u64(sizes.size());
-    for (const auto &[id, instrs] : sizes) {
-        s.u16(id);
-        s.i32(instrs);
-    }
     s.i32(ucodeUsed_);
     s.i32(ucodeLoadAg_);
     s.u16(ucodeLoading_);
@@ -838,11 +825,6 @@ StreamController::loadState(ckpt::Deserializer &d)
     ucodeLru_.clear();
     for (uint64_t i = 0, n = d.u64(); i < n; ++i)
         ucodeLru_.push_back(d.u16());
-    ucodeSize_.clear();
-    for (uint64_t i = 0, n = d.u64(); i < n; ++i) {
-        uint16_t id = d.u16();
-        ucodeSize_[id] = d.i32();
-    }
     ucodeUsed_ = d.i32();
     ucodeLoadAg_ = d.i32();
     ucodeLoading_ = d.u16();

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -33,9 +32,6 @@ class FaultInjector;
 struct HangReport;
 class StatsRegistry;
 namespace trace { class TraceSink; }
-
-/** Registered, compiled kernels addressable by stream instructions. */
-using KernelRegistry = std::vector<kernelc::CompiledKernel>;
 
 /** Why the clusters are idle (Fig. 11 attribution categories). */
 enum class IdleCause : uint8_t
@@ -231,9 +227,9 @@ class StreamController : public Component
     std::vector<Mar> mars_;
     std::vector<Word> ucrs_;
 
-    // Microcode store: kernelId -> instruction count, LRU-ordered.
+    // Microcode store: the resident kernel ids, most recently used
+    // first; ucodeUsed_ sums their registry instruction counts.
     std::list<uint16_t> ucodeLru_;
-    std::unordered_map<uint16_t, int> ucodeSize_;
     int ucodeUsed_ = 0;
     int ucodeLoadAg_ = -1;              ///< AG busy with a microcode load
     uint16_t ucodeLoading_ = UINT16_MAX;

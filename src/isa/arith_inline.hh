@@ -125,9 +125,9 @@ evalArithScalar(Word a, Word b, Word c)
     else if constexpr (OP == Opcode::Itof)
         return floatToWord(static_cast<float>(wordToInt(a)));
     else if constexpr (OP == Opcode::Iadd)
-        return intToWord(wordToInt(a) + wordToInt(b));
+        return a + b;   // two's complement wrap, computed unsigned
     else if constexpr (OP == Opcode::Isub)
-        return intToWord(wordToInt(a) - wordToInt(b));
+        return a - b;
     else if constexpr (OP == Opcode::Iand)
         return a & b;
     else if constexpr (OP == Opcode::Ior)
@@ -153,7 +153,7 @@ evalArithScalar(Word a, Word b, Word c)
         return intToWord(wordToInt(a) > wordToInt(b) ? wordToInt(a)
                                                      : wordToInt(b));
     else if constexpr (OP == Opcode::Iabs)
-        return intToWord(wordToInt(a) < 0 ? -wordToInt(a) : wordToInt(a));
+        return wordToInt(a) < 0 ? 0u - a : a;   // |INT32_MIN| wraps
     else if constexpr (OP == Opcode::Select)
         return a ? b : c;
     else if constexpr (OP == Opcode::Mov)
@@ -186,15 +186,17 @@ evalArithScalar(Word a, Word b, Word c)
     else if constexpr (OP == Opcode::Fmul)
         return floatToWord(wordToFloat(a) * wordToFloat(b));
     else if constexpr (OP == Opcode::Imul)
-        return intToWord(wordToInt(a) * wordToInt(b));
+        return a * b;   // the low 32 bits are sign-agnostic
     else if constexpr (OP == Opcode::Mul16x2)
         return map16(a, b, s16mul);
     else if constexpr (OP == Opcode::Dot16x2)
+        // Each product fits int32; their sum can reach 2^31 and wraps.
         return intToWord(
-            static_cast<int32_t>(static_cast<int16_t>(sub16(a, 0))) *
-                static_cast<int16_t>(sub16(b, 0)) +
-            static_cast<int32_t>(static_cast<int16_t>(sub16(a, 1))) *
-                static_cast<int16_t>(sub16(b, 1)));
+                   static_cast<int32_t>(static_cast<int16_t>(sub16(a, 0))) *
+                   static_cast<int16_t>(sub16(b, 0))) +
+               intToWord(
+                   static_cast<int32_t>(static_cast<int16_t>(sub16(a, 1))) *
+                   static_cast<int16_t>(sub16(b, 1)));
     else if constexpr (OP == Opcode::Fdiv)
         return floatToWord(wordToFloat(a) / wordToFloat(b));
     else if constexpr (OP == Opcode::Fsqrt)

@@ -131,49 +131,6 @@ sameGraph(const KernelGraph &a, const KernelGraph &b)
     return true;
 }
 
-uint64_t
-scheduleFingerprint(const CompiledKernel &k)
-{
-    // ScheduledOp has padding; hash fields, not raw struct bytes.
-    Hasher h;
-    h.pod(fingerprint(k.graph));
-    auto block = [&h](const std::vector<ScheduledOp> &ops, int a, int b) {
-        h.pod(ops.size());
-        for (const ScheduledOp &s : ops) {
-            h.pod(s.node);
-            h.pod(s.time);
-            h.pod(s.unit);
-        }
-        h.pod(a);
-        h.pod(b);
-    };
-    block(k.prologue.ops, k.prologue.length, 0);
-    block(k.loop.ops, k.loop.ii, k.loop.length);
-    block(k.epilogue.ops, k.epilogue.length, 0);
-    return h.h;
-}
-
-bool
-sameSchedules(const CompiledKernel &a, const CompiledKernel &b)
-{
-    auto sameOps = [](const std::vector<ScheduledOp> &x,
-                      const std::vector<ScheduledOp> &y) {
-        if (x.size() != y.size())
-            return false;
-        for (size_t i = 0; i < x.size(); ++i)
-            if (x[i].node != y[i].node || x[i].time != y[i].time ||
-                x[i].unit != y[i].unit)
-                return false;
-        return true;
-    };
-    return a.prologue.length == b.prologue.length &&
-           a.loop.ii == b.loop.ii && a.loop.length == b.loop.length &&
-           a.epilogue.length == b.epilogue.length &&
-           sameOps(a.prologue.ops, b.prologue.ops) &&
-           sameOps(a.loop.ops, b.loop.ops) &&
-           sameOps(a.epilogue.ops, b.epilogue.ops);
-}
-
 CompileCache &
 CompileCache::instance()
 {
@@ -217,40 +174,6 @@ CompileCache::compile(const KernelGraph &g, const MachineConfig &cfg,
     return compiled;
 }
 
-std::shared_ptr<const LoweredKernel>
-CompileCache::lowered(const CompiledKernel &k)
-{
-    uint64_t key = scheduleFingerprint(k);
-    auto match = [&](const LoweredEntry &e) {
-        return sameGraph(e.key->graph, k.graph) &&
-               sameSchedules(*e.key, k);
-    };
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = lowered_.find(key);
-        if (it != lowered_.end())
-            for (const LoweredEntry &e : it->second)
-                if (match(e)) {
-                    loweredHits_.fetch_add(1);
-                    return e.low;
-                }
-    }
-
-    // Lower outside the lock (cheap, but keep the compile() discipline:
-    // a racing duplicate is identical; first insert wins).
-    LoweredEntry fresh{std::make_shared<const CompiledKernel>(k),
-                       std::make_shared<const LoweredKernel>(lower(k))};
-    loweredMisses_.fetch_add(1);
-
-    std::lock_guard<std::mutex> lock(mu_);
-    auto &bucket = lowered_[key];
-    for (const LoweredEntry &e : bucket)
-        if (match(e))
-            return e.low;
-    bucket.push_back(fresh);
-    return fresh.low;
-}
-
 size_t
 CompileCache::size() const
 {
@@ -266,11 +189,8 @@ CompileCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
     entries_.clear();
-    lowered_.clear();
     hits_.store(0);
     misses_.store(0);
-    loweredHits_.store(0);
-    loweredMisses_.store(0);
 }
 
 } // namespace imagine::kernelc

@@ -17,9 +17,11 @@
  *
  * Compilation is deterministic, so a hit returns bit-identical
  * schedules - cached and fresh sessions produce identical cycle
- * counts.  On a key collision the stored graph is compared
- * structurally before reuse, so a hit can never return the wrong
- * kernel.  All state is mutex-guarded; hit/miss counters are atomics
+ * counts.  Lowering is compile()'s last pass, so a hit also shares
+ * the kernel's micro-op trace (CompiledKernel::lowered).  On a key
+ * collision the stored graph is compared structurally before reuse,
+ * so a hit can never return the wrong kernel.  All state is
+ * mutex-guarded; hit/miss counters are atomics
  * that sessions expose through their StatsRegistry
  * ("kernelc.cacheHits" / "kernelc.cacheMisses" - process-wide values,
  * shared by concurrent sessions).
@@ -35,7 +37,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "kernelc/predecode.hh"
 #include "kernelc/schedule.hh"
 
 namespace imagine::kernelc
@@ -47,10 +48,6 @@ uint64_t fingerprint(const KernelGraph &g);
 uint64_t compileConfigFingerprint(const MachineConfig &cfg);
 /** Field-by-field structural equality (fingerprint collision guard). */
 bool sameGraph(const KernelGraph &a, const KernelGraph &b);
-/** Fingerprint of graph + all three schedules (lowered-trace key). */
-uint64_t scheduleFingerprint(const CompiledKernel &k);
-/** Structural schedule equality (lowered-key collision guard). */
-bool sameSchedules(const CompiledKernel &a, const CompiledKernel &b);
 
 /** The process-wide cache. */
 class CompileCache
@@ -67,18 +64,11 @@ class CompileCache
     compile(const KernelGraph &g, const MachineConfig &cfg,
             const CompileOptions &opts = {});
 
-    /**
-     * Lower @p k's schedules to a pre-decoded micro-op trace through
-     * the cache (see predecode.hh).  Keyed by the (graph, schedules)
-     * fingerprint with a structural collision guard, like compile():
-     * sessions binding an identical kernel share one immutable trace.
-     */
-    std::shared_ptr<const LoweredKernel> lowered(const CompiledKernel &k);
-
     uint64_t hits() const { return hits_.load(); }
     uint64_t misses() const { return misses_.load(); }
-    uint64_t loweredHits() const { return loweredHits_.load(); }
-    uint64_t loweredMisses() const { return loweredMisses_.load(); }
+    /** A lowering happens exactly on a compile miss. */
+    uint64_t loweredHits() const { return hits(); }
+    uint64_t loweredMisses() const { return misses(); }
     size_t size() const;
     /** Drop every entry and zero the counters (tests). */
     void clear();
@@ -86,22 +76,12 @@ class CompileCache
   private:
     CompileCache() = default;
 
-    /** A lowered trace plus the kernel copy guarding its key. */
-    struct LoweredEntry
-    {
-        std::shared_ptr<const CompiledKernel> key;
-        std::shared_ptr<const LoweredKernel> low;
-    };
-
     mutable std::mutex mu_;
     std::unordered_map<
         uint64_t,
         std::vector<std::shared_ptr<const CompiledKernel>>> entries_;
-    std::unordered_map<uint64_t, std::vector<LoweredEntry>> lowered_;
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> loweredHits_{0};
-    std::atomic<uint64_t> loweredMisses_{0};
 };
 
 } // namespace imagine::kernelc

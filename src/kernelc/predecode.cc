@@ -10,6 +10,17 @@ namespace imagine::kernelc
 namespace
 {
 
+/** The Acc node ids of @p g, ascending: LoweredKernel::accs order. */
+std::vector<uint32_t>
+accumulatorNodes(const KernelGraph &g)
+{
+    std::vector<uint32_t> ids;
+    for (uint32_t id = 0; id < g.nodes.size(); ++id)
+        if (g.nodes[id].op == Opcode::Acc)
+            ids.push_back(id);
+    return ids;
+}
+
 MicroHandler
 arithHandler(Opcode op)
 {
@@ -181,6 +192,7 @@ lower(const CompiledKernel &k)
 
     // Loop: bucket-major, k.loop.ops order within each bucket.
     const uint32_t ii = static_cast<uint32_t>(std::max(k.loop.ii, 1));
+    L.ii = ii;
     std::vector<std::vector<ScheduledOp>> buckets(ii);
     for (const ScheduledOp &s : k.loop.ops)
         buckets[static_cast<uint32_t>(s.time) % ii].push_back(s);
@@ -218,16 +230,6 @@ lower(const CompiledKernel &k)
     lowerBlock(k.prologue, L.prologue);
     lowerBlock(k.epilogue, L.epilogue);
     return L;
-}
-
-std::vector<uint32_t>
-accumulatorNodes(const KernelGraph &g)
-{
-    std::vector<uint32_t> ids;
-    for (uint32_t id = 0; id < g.nodes.size(); ++id)
-        if (g.nodes[id].op == Opcode::Acc)
-            ids.push_back(id);
-    return ids;
 }
 
 } // namespace imagine::kernelc

@@ -1,6 +1,6 @@
 /**
  * @file
- * Kernel-bind-time lowering to a pre-decoded micro-op trace.
+ * Compile-time lowering to a pre-decoded micro-op trace.
  *
  * Interpreting a schedule re-derives per cycle what is static per
  * kernel: walking `ScheduledOp`s, switching on the graph node's
@@ -25,11 +25,12 @@
  *    issue bucket and a parallel stage array, so liveness filtering in
  *    the issue loop touches one small contiguous `uint32_t` array.
  *
- * The trace depends only on the `CompiledKernel` (never on trip count,
+ * The trace depends only on the schedules (never on trip count,
  * stream bindings or restart state — those resolve at execution), so
- * it is shared process-wide through the compile cache
- * (CompileCache::lowered) under the same fingerprint discipline as the
- * schedules.  Execution semantics live in cluster/cluster.cc;
+ * lowering is kernelc::compile()'s last pass: every copy of a
+ * `CompiledKernel` shares its trace through `CompiledKernel::lowered`,
+ * and a compile-cache hit is a lowering hit.  Execution semantics live
+ * in cluster/cluster.cc;
  * tests/predecode_test.cc checks them against the ReferenceInterp
  * oracle and against pinned cycles and counters.
  */
@@ -131,8 +132,9 @@ struct LoweredKernel
      *  pipeline and for every chained accumulator read. */
     uint32_t depth = 1;
     uint32_t mask = 0;    ///< depth - 1
+    uint32_t ii = 1;      ///< loop initiation interval (bucket count)
     LoweredRegion prologue, loop, epilogue;
-    std::vector<LoweredAcc> accs;  ///< in accumulatorNodes() order
+    std::vector<LoweredAcc> accs;  ///< one per Acc node, ascending id
     /** Per accumulator, the slots of the `dist` accumulators its chain
      *  passes through, head first. */
     std::vector<uint32_t> chainSlots;
@@ -145,9 +147,6 @@ struct LoweredKernel
  * for a given standard library.
  */
 LoweredKernel lower(const CompiledKernel &k);
-
-/** The Acc node ids of @p g, ascending: LoweredKernel::accs order. */
-std::vector<uint32_t> accumulatorNodes(const KernelGraph &g);
 
 } // namespace imagine::kernelc
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "kernelc/predecode.hh"
 #include "sim/log.hh"
 
 namespace imagine::kernelc
@@ -568,6 +569,7 @@ compile(KernelGraph g, const MachineConfig &cfg,
     k.ucodeInstrs = proSpan + loopSpan + epiSpan + 8;
 
     k.graph = std::move(g);
+    k.lowered = std::make_shared<const LoweredKernel>(lower(k));
     return k;
 }
 

@@ -20,6 +20,7 @@
 #define IMAGINE_KERNELC_SCHEDULE_HH
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -28,6 +29,8 @@
 
 namespace imagine::kernelc
 {
+
+struct LoweredKernel;
 
 /** One op placed in a schedule. */
 struct ScheduledOp
@@ -82,6 +85,10 @@ struct CompiledKernel
     /** Mean live LRF words per cluster in steady state. */
     double lrfMeanLive = 0.0;
 
+    /** The schedules lowered to micro-ops (predecode.hh): compile()'s
+     *  last pass.  Immutable, and shared by every copy of the kernel. */
+    std::shared_ptr<const LoweredKernel> lowered;
+
     const char *name() const { return graph.name.c_str(); }
 };
 
@@ -98,7 +105,8 @@ struct CompileOptions
 };
 
 /**
- * Compile a kernel graph to VLIW schedules.
+ * Compile a kernel graph to VLIW schedules and lower them to the
+ * micro-op trace the cluster array executes.
  *
  * @param g verified kernel graph (moved in)
  * @param cfg machine parameters (unit counts, latencies)

@@ -1,7 +1,5 @@
 #include "mem/memspace.hh"
 
-#include <algorithm>
-
 #include "ckpt/serializer.hh"
 #include "sim/error.hh"
 #include "sim/log.hh"
@@ -66,26 +64,27 @@ MemorySpace::readWords(Addr wordAddr, size_t count) const
 void
 MemorySpace::saveState(ckpt::Serializer &s) const
 {
-    std::vector<Addr> keys;
-    keys.reserve(pages_.size());
-    for (const auto &[idx, p] : pages_) {
-        (void)p;
-        keys.push_back(idx);
-    }
-    std::sort(keys.begin(), keys.end());
-    s.u64(keys.size());
-    for (Addr idx : keys) {
+    uint64_t n = 0;
+    for (const Page &p : pages_)
+        n += !p.empty();
+    s.u64(n);
+    for (Addr idx = 0; idx < numPages; ++idx) {
+        if (pages_[idx].empty())
+            continue;
         s.u64(idx);
-        s.vec(pages_.at(idx));
+        s.vec(pages_[idx]);
     }
 }
 
 void
 MemorySpace::loadState(ckpt::Deserializer &d)
 {
-    pages_.clear();
+    pages_.assign(numPages, Page{});
     for (uint64_t i = 0, n = d.u64(); i < n; ++i) {
         Addr idx = d.u64();
+        if (idx >= numPages)
+            IMAGINE_FATAL("checkpoint: memory page %llu out of range",
+                          static_cast<unsigned long long>(idx));
         pages_[idx] = d.vec<Word>();
     }
 }

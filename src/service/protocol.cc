@@ -137,7 +137,6 @@ overrideTable()
         INT_FIELD(nonPlaybackHostOverheadCycles),
         U64_FIELD(watchdogStagnationCycles),
         BOOL_FIELD(eventDriven),
-        INT_FIELD(clusterBindCacheKernels),
         BOOL_FIELD(trace),
         U64_FIELD(traceMaxEvents),
         NUM_FIELD(sampleLoopFraction),

@@ -167,12 +167,6 @@ Server::Server(ServerConfig cfg)
     statsReg_.scalar("kernelc.cacheMisses", [] {
         return kernelc::CompileCache::instance().misses();
     });
-    statsReg_.scalar("kernelc.loweredCacheHits", [] {
-        return kernelc::CompileCache::instance().loweredHits();
-    });
-    statsReg_.scalar("kernelc.loweredCacheMisses", [] {
-        return kernelc::CompileCache::instance().loweredMisses();
-    });
     statsReg_.scalar("kernelc.cacheEntries", [] {
         return static_cast<uint64_t>(
             kernelc::CompileCache::instance().size());

@@ -194,16 +194,6 @@ struct MachineConfig
      */
     bool eventDriven = true;
     /**
-     * Cap on per-kernel cluster bind-cache entries (lowered-trace
-     * handles, restart accumulator carry-over, run history).  Least
-     * recently launched kernels are evicted past the cap; a Restart of
-     * an evicted kernel fails the prior-run assertion loudly instead
-     * of silently resetting its accumulators.  Engine-only: no
-     * architectural effect below the cap, and far above any real
-     * program's kernel count by default.
-     */
-    int clusterBindCacheKernels = 128;
-    /**
      * Structured event tracing (DESIGN.md section 10): attach a
      * trace::TraceSink recording per-FU busy spans, kernel phases,
      * SRF grant bursts, memory-channel/AG activity, scoreboard-slot

@@ -39,9 +39,9 @@ constexpr int kSeedsPerApp = 24;
 
 /**
  * Machine shape, engine mode and fault plan for one differential seed:
- * three shapes (dev board, isim, dev board with a single-entry bind
- * cache to force rebinds across restore), both eventDriven engine
- * modes, chaos-style faults with the ECC mode cycled.
+ * three shapes (dev board, isim, and the sweep list's two-channel dev
+ * board), both eventDriven engine modes, chaos-style faults with the
+ * ECC mode cycled.
  */
 MachineConfig
 shapeFor(int seed)
@@ -56,7 +56,7 @@ shapeFor(int seed)
         break;
       default:
         cfg = MachineConfig::devBoard();
-        cfg.clusterBindCacheKernels = 1;
+        cfg.numChannels = 2;
         break;
     }
     cfg.eventDriven = (seed % 4) < 2;
@@ -474,6 +474,68 @@ TEST(CkptTest, DifferentialRtsl)
         cfg.batch = 64;
         return runRtsl(sys, cfg);
     });
+}
+
+/**
+ * One session runs DEPTH and then MPEG, whose kernels are registered
+ * after DEPTH ran, so the kernel registry grows under the cluster
+ * array's per-kernel state.  MPEG's snapshots must still encode that
+ * state (this used to read freed registry storage and crash), and a
+ * fresh session that replays DEPTH and restores MPEG's last snapshot
+ * must finish with the uninterrupted MPEG JSON.
+ */
+TEST(CkptTest, CheckpointAfterLaterKernelRegistration)
+{
+    fs::path dir = fs::temp_directory_path() / "imagine_ckpt_two_apps";
+    fs::create_directories(dir);
+    auto depth = [](ImagineSystem &sys) {
+        DepthConfig cfg;
+        cfg.width = 128;
+        cfg.height = 42;
+        cfg.disparities = 4;
+        runDepth(sys, cfg);
+    };
+    auto mpegJson = [](ImagineSystem &sys) {
+        MpegConfig cfg;
+        cfg.width = 64;
+        cfg.height = 32;
+        cfg.frames = 3;
+        return runMpeg(sys, cfg).run.toJson();
+    };
+
+    std::string golden;
+    {
+        ImagineSystem sys(MachineConfig::devBoard());
+        depth(sys);
+        golden = mpegJson(sys);
+    }
+
+    const std::string last = (dir / "mpeg.ckpt").string();
+    {
+        MachineConfig cfg = MachineConfig::devBoard();
+        cfg.checkpointEveryCycles = 20'000;
+        cfg.checkpointPath = (dir / "b.ckpt").string();
+        ImagineSystem sys(cfg);
+        bool inMpeg = false;
+        sys.setCheckpointHook([&](Cycle, const std::string &p) {
+            if (inMpeg)
+                fs::rename(p, last);
+        });
+        depth(sys);
+        inMpeg = true;
+        EXPECT_EQ(mpegJson(sys), golden);
+    }
+    ASSERT_TRUE(fs::exists(last));
+    {
+        MachineConfig cfg = MachineConfig::devBoard();
+        cfg.restorePath = last;
+        ImagineSystem sys(cfg);
+        depth(sys);
+        EXPECT_EQ(mpegJson(sys), golden);
+    }
+
+    std::error_code ec;
+    fs::remove_all(dir, ec);
 }
 
 TEST(CkptTest, BisectPinpointsInjectedFaultDeterministically)

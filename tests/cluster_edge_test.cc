@@ -168,12 +168,13 @@ TEST(ClusterEdgeTest, WedgedKernelIsDiagnosed)
     CompiledKernel k = compile(kb.finish(), cfg);
 
     Srf srf(cfg);
-    ClusterArray ca(cfg, srf);
+    KernelRegistry kernels{k};
+    ClusterArray ca(cfg, srf, kernels);
     std::vector<ClusterArray::Binding> ins, outs;
     ins.push_back({srf.openIn({0, 64}), 64});
     ins.push_back({srf.openIn({64, 32}), 32});      // mismatched length
     outs.push_back({srf.openOut({128, 64}), 64});
-    EXPECT_THROW(ca.start(&k, ins, outs), std::logic_error);
+    EXPECT_THROW(ca.start(0, ins, outs), std::logic_error);
 }
 
 TEST(ClusterEdgeTest, ZeroTripLaunchRunsToDone)
@@ -191,11 +192,12 @@ TEST(ClusterEdgeTest, ZeroTripLaunchRunsToDone)
     kb.endLoop();
     CompiledKernel k = compile(kb.finish(), cfg);
     Srf srf(cfg);
-    ClusterArray ca(cfg, srf);
+    KernelRegistry kernels{k};
+    ClusterArray ca(cfg, srf, kernels);
     int outClient = srf.openOut({64, 0});
     std::vector<ClusterArray::Binding> ins{{srf.openIn({0, 0}), 0}};
     std::vector<ClusterArray::Binding> outs{{outClient, 0}};
-    EXPECT_NO_THROW(ca.start(&k, ins, outs));
+    EXPECT_NO_THROW(ca.start(0, ins, outs));
     for (int i = 0; i < 10000 && !ca.done(); ++i) {
         ca.tick();
         srf.tick();

@@ -277,7 +277,7 @@ TEST(ClusterTest, RestartCarriesAccumulators)
     ins.push_back({rig.srf.openIn(inSdr), inSdr.length});
     Sdr outSdr{4096, numClusters};
     outs.push_back({rig.srf.openOut(outSdr), numClusters});
-    rig.ca.start(&k, ins, outs, 0, /*restart=*/true);
+    rig.ca.start(rig.id(k), ins, outs, 0, /*restart=*/true);
     uint64_t guard = 0;
     while (!rig.ca.done()) {
         rig.ca.tick();
@@ -335,7 +335,7 @@ TEST(ClusterTest, RestartCarriesAccumulators)
         std::vector<ClusterArray::Binding> bo{
             {rig.srf.openOut(pout), pout.length},
             {rig.srf.openOut(pend), pend.length}};
-        rig.ca.start(&dk, bi, bo, 0, /*restart=*/true);
+        rig.ca.start(rig.id(dk), bi, bo, 0, /*restart=*/true);
         uint64_t g = 0;
         while (!rig.ca.done()) {
             rig.ca.tick();

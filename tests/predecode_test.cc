@@ -22,7 +22,9 @@
  * Pins are integers hashed value by value, so they hold on any host.
  * A deliberate timing-model change re-records them (print the new
  * values from the failure messages) and says so in its change log.
- * The bind cache's LRU behaviour and stats are checked directly.
+ * Deleting a counter changes every stats hash but no value: such pins
+ * are re-derived at the parent commit with the deleted counters left
+ * out of the hash (as when the cluster.bindCache* counters went).
  */
 
 #include <gtest/gtest.h>
@@ -147,91 +149,91 @@ const struct
     const char *family;
     Pin pins[4];
 } kRigPins[] = {
-    {"conv7x7", {{21, 0x3f3d69b2d6e45168ull}, {156, 0xa920b07def1bda7eull},
-                 {21, 0x3f3d69b2d6e45168ull}, {410, 0xccfeb40f5261ef67ull}}},
-    {"conv3x3", {{21, 0x3f3d69b2d6e45168ull}, {92, 0x2d8d7caa6c38994bull},
-                 {21, 0x3f3d69b2d6e45168ull}, {197, 0x6debca20aefb87deull}}},
+    {"conv7x7", {{21, 0x1650f959d7ad6b1aull}, {156, 0xbc76977019b786c8ull},
+                 {21, 0x1650f959d7ad6b1aull}, {410, 0x5b4627cbdd664631ull}}},
+    {"conv3x3", {{21, 0x1650f959d7ad6b1aull}, {92, 0x9600b621ae93db15ull},
+                 {21, 0x1650f959d7ad6b1aull}, {197, 0xcfa2a7d8a30bb4f4ull}}},
     {"blockSad7x7",
-     {{21, 0x3f3d69b2d6e45168ull}, {172, 0x8344337697586178ull},
-      {21, 0x3f3d69b2d6e45168ull}, {741, 0xdc484c901a03cdadull}}},
-    {"sadUpdate", {{21, 0x3f3d69b2d6e45168ull}, {102, 0xa23f0ff28d612515ull},
-                   {21, 0x3f3d69b2d6e45168ull}, {241, 0x408e26334708d43bull}}},
-    {"sadSearch", {{21, 0x3f3d69b2d6e45168ull}, {239, 0x4edaa22c94fe3030ull},
-                   {21, 0x3f3d69b2d6e45168ull}, {884, 0xaccad6aea91d9442ull}}},
+     {{21, 0x1650f959d7ad6b1aull}, {172, 0xd7618f49e13f9b22ull},
+      {21, 0x1650f959d7ad6b1aull}, {741, 0xa1ee81ac3777f013ull}}},
+    {"sadUpdate", {{21, 0x1650f959d7ad6b1aull}, {102, 0x33f46ca51b17243full},
+                   {21, 0x1650f959d7ad6b1aull}, {241, 0xc91b9002fb0312edull}}},
+    {"sadSearch", {{21, 0x1650f959d7ad6b1aull}, {239, 0x0aab9ec56f957af2ull},
+                   {21, 0x1650f959d7ad6b1aull}, {884, 0xa9836b645540e560ull}}},
     {"blockSearch",
-     {{21, 0x3f3d69b2d6e45168ull}, {1206, 0xeeba9171f1b3213full},
-      {21, 0x3f3d69b2d6e45168ull}, {7913, 0xd76fa7cccbae0c0full}}},
-    {"colorConv", {{21, 0x3f3d69b2d6e45168ull}, {113, 0xa6b21d2b9f6efe02ull},
-                   {21, 0x3f3d69b2d6e45168ull}, {207, 0x75c2bf4c03156a38ull}}},
-    {"dct8x8", {{21, 0x3f3d69b2d6e45168ull}, {3323, 0x6443be573b9124c7ull},
-                {21, 0x3f3d69b2d6e45168ull}, {3519, 0x03368222fe1162d9ull}}},
-    {"idct8x8", {{21, 0x3f3d69b2d6e45168ull}, {3323, 0x0a2a728a7d3994e5ull},
-                 {21, 0x3f3d69b2d6e45168ull}, {3519, 0xc1851cba3a408ef3ull}}},
-    {"quantize", {{21, 0x3f3d69b2d6e45168ull}, {1070, 0x65d754af46ccc800ull},
-                  {21, 0x3f3d69b2d6e45168ull}, {3072, 0x78af589164a3cea2ull}}},
+     {{21, 0x1650f959d7ad6b1aull}, {1206, 0xbbcac6b357b2c451ull},
+      {21, 0x1650f959d7ad6b1aull}, {7913, 0xf9d0b252626b76cdull}}},
+    {"colorConv", {{21, 0x1650f959d7ad6b1aull}, {113, 0xefc20bef54bde448ull},
+                   {21, 0x1650f959d7ad6b1aull}, {207, 0xc9b62b0b2673764eull}}},
+    {"dct8x8", {{21, 0x1650f959d7ad6b1aull}, {3323, 0x39f7dd9ef4cf64b1ull},
+                {21, 0x1650f959d7ad6b1aull}, {3519, 0xd35d0fb717f0e5c7ull}}},
+    {"idct8x8", {{21, 0x1650f959d7ad6b1aull}, {3323, 0x570c84fa67677fbbull},
+                 {21, 0x1650f959d7ad6b1aull}, {3519, 0x7943c3ea599955e5ull}}},
+    {"quantize", {{21, 0x1650f959d7ad6b1aull}, {1070, 0x43799884a4d9618eull},
+                  {21, 0x1650f959d7ad6b1aull}, {3072, 0x4e8d6e37a063746cull}}},
     {"dequantize",
-     {{21, 0x3f3d69b2d6e45168ull}, {1070, 0xfc05afd2112ddf8bull},
-      {21, 0x3f3d69b2d6e45168ull}, {3072, 0x5904ff6d41ffd705ull}}},
-    {"zigzag", {{21, 0x3f3d69b2d6e45168ull}, {1201, 0x4134372cc599d9a4ull},
-                {21, 0x3f3d69b2d6e45168ull}, {4608, 0x65154e9fb128ca17ull}}},
-    {"rle", {{21, 0x3f3d69b2d6e45168ull}, {135, 0x5b6e5acbef4b300cull},
-             {21, 0x3f3d69b2d6e45168ull}, {135, 0xbba01072fd204241ull}}},
-    {"pixSub", {{21, 0x3f3d69b2d6e45168ull}, {36, 0x3bbf6e40885ccad1ull},
-                {21, 0x3f3d69b2d6e45168ull}, {144, 0x598e41938f78ea38ull}}},
+     {{21, 0x1650f959d7ad6b1aull}, {1070, 0x671357f7ea4c8469ull},
+      {21, 0x1650f959d7ad6b1aull}, {3072, 0x4a07980e982f7cefull}}},
+    {"zigzag", {{21, 0x1650f959d7ad6b1aull}, {1201, 0x8a61966876b85462ull},
+                {21, 0x1650f959d7ad6b1aull}, {4608, 0x5d5beaf0313628e1ull}}},
+    {"rle", {{21, 0x1650f959d7ad6b1aull}, {135, 0xebc2ea45e061a2f6ull},
+             {21, 0x1650f959d7ad6b1aull}, {135, 0xef2e6d36d658d73bull}}},
+    {"pixSub", {{21, 0x1650f959d7ad6b1aull}, {36, 0x54ba09bd9ab46017ull},
+                {21, 0x1650f959d7ad6b1aull}, {144, 0x335188826bec2b36ull}}},
     {"pixAddClamp",
-     {{21, 0x3f3d69b2d6e45168ull}, {40, 0xcd68f6ebb6e91b8aull},
-      {21, 0x3f3d69b2d6e45168ull}, {144, 0xd627c466fff18e39ull}}},
-    {"addClamp", {{21, 0x3f3d69b2d6e45168ull}, {40, 0x0acdde2448fa1ac2ull},
-                  {21, 0x3f3d69b2d6e45168ull}, {96, 0x0152683d6ada999full}}},
-    {"mcIndex", {{21, 0x3f3d69b2d6e45168ull}, {113, 0x1a436a6486923da9ull},
-                 {21, 0x3f3d69b2d6e45168ull}, {159, 0x440f5950340d21ddull}}},
-    {"house", {{21, 0x14515a5d59afb468ull}, {148, 0x9454a111800359fdull},
-               {21, 0x14515a5d59afb468ull}, {283, 0xad86b1b2d5f5e908ull}}},
+     {{21, 0x1650f959d7ad6b1aull}, {40, 0x897b6bbe0aeb965cull},
+      {21, 0x1650f959d7ad6b1aull}, {144, 0x9efa2a9a2ae12af3ull}}},
+    {"addClamp", {{21, 0x1650f959d7ad6b1aull}, {40, 0x814d99d531f98720ull},
+                  {21, 0x1650f959d7ad6b1aull}, {96, 0xaddd1c99f02f33b9ull}}},
+    {"mcIndex", {{21, 0x1650f959d7ad6b1aull}, {113, 0x43c9814b374aed13ull},
+                 {21, 0x1650f959d7ad6b1aull}, {159, 0x32469199c3f786f3ull}}},
+    {"house", {{21, 0x68f7cdb4db5cebdaull}, {148, 0xfdb1078804f17d53ull},
+               {21, 0x68f7cdb4db5cebdaull}, {283, 0xcda43b82bc74e7f2ull}}},
     {"houseApply",
-     {{21, 0x3f3d69b2d6e45168ull}, {72, 0x1e7607ade856bf2cull},
-      {21, 0x3f3d69b2d6e45168ull}, {384, 0x7a9c90f9aee2cc8aull}}},
+     {{21, 0x1650f959d7ad6b1aull}, {72, 0xae4cbb11d17e4d7aull},
+      {21, 0x1650f959d7ad6b1aull}, {384, 0xe8243be99ec13460ull}}},
     {"houseApply2",
-     {{21, 0x4ab29129c30e8e68ull}, {61, 0x9617a7c0451d1b2dull},
-      {21, 0x4ab29129c30e8e68ull}, {144, 0x3ef29b7560aab68dull}}},
-    {"panelDot", {{21, 0x14515a5d59afb468ull}, {121, 0xd0d16d8dc53141f5ull},
-                  {21, 0x14515a5d59afb468ull}, {483, 0x2bd5a7a64f247862ull}}},
-    {"panelAxpy", {{21, 0x3f3d69b2d6e45168ull}, {118, 0xff87ea63753dd834ull},
-                   {21, 0x3f3d69b2d6e45168ull}, {816, 0xc9bbe4435abc508cull}}},
+     {{21, 0x9c8f37ecef96525aull}, {61, 0xcceb5a778d73489full},
+      {21, 0x9c8f37ecef96525aull}, {144, 0x3b7b52d702c87d63ull}}},
+    {"panelDot", {{21, 0x68f7cdb4db5cebdaull}, {121, 0x07ae38005c0dc60full},
+                  {21, 0x68f7cdb4db5cebdaull}, {483, 0xf35f7f603183f564ull}}},
+    {"panelAxpy", {{21, 0x1650f959d7ad6b1aull}, {118, 0x4fd582e9a68f7c1eull},
+                   {21, 0x1650f959d7ad6b1aull}, {816, 0x4066b09a8759103aull}}},
     {"panelAxpyDots",
-     {{21, 0x3f3d69b2d6e45168ull}, {111, 0xb821da8c3be3724full},
-      {21, 0x3f3d69b2d6e45168ull}, {816, 0x01ecee932a65fc88ull}}},
+     {{21, 0x1650f959d7ad6b1aull}, {111, 0x89e38d46112e75adull},
+      {21, 0x1650f959d7ad6b1aull}, {816, 0x3be12aa9c9cf729eull}}},
     {"extractColumn",
-     {{21, 0x3f3d69b2d6e45168ull}, {96, 0x688d050e83413404ull},
-      {21, 0x3f3d69b2d6e45168ull}, {441, 0x295aa8e3667d5a3full}}},
+     {{21, 0x1650f959d7ad6b1aull}, {96, 0x7a796a8556d7c2c6ull},
+      {21, 0x1650f959d7ad6b1aull}, {441, 0xf86fced08b26ffb1ull}}},
     {"vertexTransform",
-     {{21, 0x3f3d69b2d6e45168ull}, {234, 0x15bd7dc09b0d4a00ull},
-      {21, 0x3f3d69b2d6e45168ull}, {384, 0xf8464938a0d79341ull}}},
+     {{21, 0x1650f959d7ad6b1aull}, {234, 0xd733a49f7052353aull},
+      {21, 0x1650f959d7ad6b1aull}, {384, 0x579bec0e7a8f373bull}}},
     {"cullTriangles",
-     {{21, 0xa8c0e435d623b968ull}, {115, 0x268f5cd570975e4eull},
-      {21, 0xa8c0e435d623b968ull}, {608, 0xe20bad80f3944043ull}}},
+     {{21, 0x95954393b5e4051aull}, {115, 0xcc758866bbe12ae8ull},
+      {21, 0x95954393b5e4051aull}, {608, 0xe76c00ad74dca75dull}}},
     {"rasterize",
-     {{21, 0x4ab29129c30e8e68ull}, {2105, 0x0edf82c82b61b4d1ull},
-      {21, 0x4ab29129c30e8e68ull}, {2132, 0x7a0a1ccfa6b19e47ull}}},
+     {{21, 0x9c8f37ecef96525aull}, {2105, 0xcab5e58fe3e23e0bull},
+      {21, 0x9c8f37ecef96525aull}, {2132, 0x2052ea64d3d91679ull}}},
     {"shadeFragments",
-     {{21, 0x4ab29129c30e8e68ull}, {90, 0x830f649e0a0e9fdaull},
-      {21, 0x4ab29129c30e8e68ull}, {192, 0x0d2464473470bbb7ull}}},
-    {"zCompare", {{21, 0x4ab29129c30e8e68ull}, {49, 0x937d212094b28df8ull},
-                  {21, 0x4ab29129c30e8e68ull}, {159, 0x126b0538f5cf5d1cull}}},
-    {"peakFlops", {{21, 0x3f3d69b2d6e45168ull}, {73, 0xf31c8d2e5266e745ull},
-                   {21, 0x3f3d69b2d6e45168ull}, {96, 0x931fdd1cfa7a9a25ull}}},
-    {"peakOps", {{21, 0x3f3d69b2d6e45168ull}, {73, 0x44b2598c6f2d74c3ull},
-                 {21, 0x3f3d69b2d6e45168ull}, {96, 0x0145a65d36ac916full}}},
+     {{21, 0x9c8f37ecef96525aull}, {90, 0x5401f4cf503dad64ull},
+      {21, 0x9c8f37ecef96525aull}, {192, 0x15f7ca6a5f8fa92dull}}},
+    {"zCompare", {{21, 0x9c8f37ecef96525aull}, {49, 0x3dd93fa3cf0d6ad6ull},
+                  {21, 0x9c8f37ecef96525aull}, {159, 0xefd864c2b0968e02ull}}},
+    {"peakFlops", {{21, 0x1650f959d7ad6b1aull}, {73, 0x8965e49c5d3b46afull},
+                   {21, 0x1650f959d7ad6b1aull}, {96, 0x9d0529df57a28c7full}}},
+    {"peakOps", {{21, 0x1650f959d7ad6b1aull}, {73, 0xa3ef9dab33f88935ull},
+                 {21, 0x1650f959d7ad6b1aull}, {96, 0x8603ee77ea2ef3e9ull}}},
     {"commSort32",
-     {{21, 0x3f3d69b2d6e45168ull}, {915, 0x5c863d3130bb4a89ull},
-      {21, 0x3f3d69b2d6e45168ull}, {921, 0xe1b7c8381121646aull}}},
-    {"srfCopy", {{21, 0x3f3d69b2d6e45168ull}, {34, 0xc40440bb064cdd23ull},
-                 {21, 0x3f3d69b2d6e45168ull}, {192, 0x5738ec709d275496ull}}},
+     {{21, 0x1650f959d7ad6b1aull}, {915, 0x3040557191296acfull},
+      {21, 0x1650f959d7ad6b1aull}, {921, 0xcec5ef974e68de90ull}}},
+    {"srfCopy", {{21, 0x1650f959d7ad6b1aull}, {34, 0x3e071ad9274e2885ull},
+                 {21, 0x1650f959d7ad6b1aull}, {192, 0xd726a0d7028a1690ull}}},
     {"streamLength",
-     {{21, 0x3f3d69b2d6e45168ull}, {139, 0x2fc8a903561e4d72ull},
-      {21, 0x3f3d69b2d6e45168ull}, {139, 0x97ec64697e01f3d8ull}}},
+     {{21, 0x1650f959d7ad6b1aull}, {139, 0x6a9839519af83de8ull},
+      {21, 0x1650f959d7ad6b1aull}, {139, 0x672d2dd082345a22ull}}},
     {"gromacsForce",
-     {{21, 0x3f3d69b2d6e45168ull}, {496, 0xc905ada432b58aebull},
-      {21, 0x3f3d69b2d6e45168ull}, {647, 0xe9e0ac0ef489270aull}}},
+     {{21, 0x1650f959d7ad6b1aull}, {496, 0x9bf6b8a9e1a7ff81ull},
+      {21, 0x1650f959d7ad6b1aull}, {647, 0x6951540851fe2228ull}}},
 };
 
 struct RigRun
@@ -429,7 +431,7 @@ runDepthSmall(ImagineSystem &sys)
 TEST(PredecodeTest, AppBitIdentityDepth)
 {
     expectAppPinned("DEPTH", MachineConfig::devBoard(), runDepthSmall,
-                    Pin{145222, 0x8bff0f827abd7e58ull});
+                    Pin{145222, 0xffe28d64e4a61514ull});
 }
 
 TEST(PredecodeTest, AppBitIdentityMpeg)
@@ -442,7 +444,7 @@ TEST(PredecodeTest, AppBitIdentityMpeg)
                         cfg.frames = 3;
                         return apps::runMpeg(sys, cfg);
                     },
-                    Pin{88762, 0xd9afef3e834097c9ull});
+                    Pin{88762, 0x656b2dea45327e0dull});
 }
 
 TEST(PredecodeTest, AppBitIdentityQrd)
@@ -454,7 +456,7 @@ TEST(PredecodeTest, AppBitIdentityQrd)
                         cfg.cols = 16;
                         return apps::runQrd(sys, cfg);
                     },
-                    Pin{23968, 0x8fae6e17342840a8ull});
+                    Pin{23968, 0x614ed0457f2517beull});
 }
 
 TEST(PredecodeTest, AppBitIdentityRtsl)
@@ -467,7 +469,7 @@ TEST(PredecodeTest, AppBitIdentityRtsl)
                         cfg.batch = 64;
                         return apps::runRtsl(sys, cfg);
                     },
-                    Pin{34336, 0xa6fb475bf712eb1cull});
+                    Pin{34336, 0x8aa3617b9ca91ceeull});
 }
 
 TEST(PredecodeTest, SweepBitIdentity)
@@ -483,9 +485,9 @@ TEST(PredecodeTest, SweepBitIdentity)
         Pin pin;
     };
     for (const Shape &sh :
-         {Shape{4, 2, 16, {145222, 0xa59514c923a64a86ull}},
-          Shape{16, 4, 16, {145278, 0xb76e62733a13300dull}},
-          Shape{8, 3, 8, {145250, 0x3e5976574c2f9ef5ull}}}) {
+         {Shape{4, 2, 16, {145222, 0x52e509159dba1b6aull}},
+          Shape{16, 4, 16, {145278, 0xdbbfdc73a4ae5cc9ull}},
+          Shape{8, 3, 8, {145250, 0xce5611cde2221f49ull}}}) {
         MachineConfig cfg = MachineConfig::devBoard();
         cfg.srfBandwidthWordsPerCycle = sh.srfBw;
         cfg.memClockDivider = sh.memDiv;
@@ -523,10 +525,10 @@ TEST(PredecodeTest, SampledBitIdentity)
         return apps::runQrd(sys, cfg);
     };
     for (const Point &p :
-         {Point{"baseline", false, {2434070, 0x77ca1b05ea1e4895ull}},
-          Point{"baseline", true, {1361238, 0xbb511f5b86108c69ull}},
-          Point{"two_channels", false, {3629550, 0xc556a2cb3945f892ull}},
-          Point{"two_channels", true, {1872722, 0xb0b029933c57a6d1ull}}}) {
+         {Point{"baseline", false, {2434070, 0x84dff8cf15e7566dull}},
+          Point{"baseline", true, {1361238, 0x8cc8b988225493ebull}},
+          Point{"two_channels", false, {3629550, 0xe350b8661929e986ull}},
+          Point{"two_channels", true, {1872722, 0x811d01e7f64d9cffull}}}) {
         MachineConfig cfg;
         for (const bench::MachineShape &sh : bench::machineShapes())
             if (std::string_view(sh.name) == p.shape)
@@ -617,14 +619,14 @@ chaosFingerprint(int run)
 /** Per seed, recorded with both executors agreeing. */
 const uint64_t kChaosPins[30] = {
     0x7b9bfe53a0338923ull, 0xbc068e8df9f12df0ull, 0x3c60a29af677ee9full,
-    0x8203575c152720a2ull, 0x69078f3f27438fdeull, 0x07582ac67a868e18ull,
-    0xbcb2a879aaa1d510ull, 0xdb8413514b06ef57ull, 0x30fff532a378ef9dull,
-    0xd08993d3b72230b0ull, 0x6ea89b7b8723a41full, 0xc5920ab41419342aull,
-    0x8b597f34d675c6a0ull, 0xb1367ac9a9f0b472ull, 0x48fa3d228ea54142ull,
-    0x3b8c39b7d0ceb9d7ull, 0x7df7776d599464cfull, 0x384f0ec12bd12a58ull,
-    0x88cbea29269dfe3eull, 0xe63421926012644full, 0xad54f4be142325e9ull,
+    0xe959bd6ebce8644aull, 0x69078f3f27438fdeull, 0x07582ac67a868e18ull,
+    0xbcb2a879aaa1d510ull, 0xdb8413514b06ef57ull, 0xb5bd66ce288ad673ull,
+    0x2ccadffe029c9e26ull, 0x6ea89b7b8723a41full, 0xc5920ab41419342aull,
+    0x7187ad9f10b94092ull, 0xb1367ac9a9f0b472ull, 0x48fa3d228ea54142ull,
+    0x2176764ea71985d5ull, 0x7df7776d599464cfull, 0x384f0ec12bd12a58ull,
+    0xda28e7c47710f367ull, 0xe63421926012644full, 0xd0635bafd354bb6full,
     0xba0460d12b5fc95bull, 0x3e426c0cec0a9b79ull, 0x640a90e5d4aede7aull,
-    0x97ab894e36f9fc1bull, 0xf0ee37b03b3aa1feull, 0x7b668f976cf7ca64ull,
+    0x3074cba4117d4376ull, 0xf0ee37b03b3aa1feull, 0x731a19469b6b81adull,
     0x0b51beca7fda6d89ull, 0x5aa28a7362d5c0bcull, 0xceba479a53e369deull,
 };
 
@@ -643,86 +645,4 @@ TEST(PredecodeTest, ChaosBitIdentityAcrossEccModes)
     for (int i = 0; i < kRuns; ++i)
         EXPECT_EQ(got[static_cast<size_t>(i)], kChaosPins[i])
             << "chaos seed " << i << " (ECC mode " << i % 3 << ")";
-}
-
-// ---------------------------------------------------------------------
-// Bind-cache LRU
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-CompiledKernel
-scaleKernel(const MachineConfig &cfg, const char *name, int scale)
-{
-    KernelBuilder kb(name);
-    int s = kb.addInput();
-    int o = kb.addOutput();
-    kb.beginLoop();
-    Val v = kb.read(s);
-    kb.write(o, kb.iadd(v, kb.immI(scale)));
-    kb.endLoop();
-    return compile(kb.finish(), cfg);
-}
-
-} // namespace
-
-TEST(PredecodeTest, BindCacheLruEviction)
-{
-    // Cap the bind cache at two kernels and launch three distinct ones:
-    // the least-recently-used entry must go, the peak stat must stop at
-    // the cap, and a re-launch of the evicted kernel must still produce
-    // correct output (it simply rebinds from scratch).
-    MachineConfig cfg;
-    cfg.clusterBindCacheKernels = 2;
-    ClusterRig rig(cfg);
-    CompiledKernel k1 = scaleKernel(cfg, "scale1", 100);
-    CompiledKernel k2 = scaleKernel(cfg, "scale2", 200);
-    CompiledKernel k3 = scaleKernel(cfg, "scale3", 300);
-
-    const uint32_t trip = 4;
-    std::vector<Word> in(trip * numClusters);
-    for (uint32_t i = 0; i < in.size(); ++i)
-        in[i] = i;
-    auto check = [&](const CompiledKernel &k, Word bias) {
-        std::vector<std::vector<Word>> out = rig.run(k, {in});
-        ASSERT_EQ(out.size(), 1u);
-        ASSERT_EQ(out[0].size(), in.size());
-        for (uint32_t i = 0; i < in.size(); ++i)
-            EXPECT_EQ(out[0][i], in[i] + bias) << k.name();
-    };
-
-    check(k1, 100);
-    check(k2, 200);
-    EXPECT_EQ(rig.ca.stats().bindCachePeakKernels, 2u);
-    EXPECT_EQ(rig.ca.stats().bindCacheEvictions, 0u);
-    check(k3, 300);             // evicts k1 (LRU)
-    EXPECT_EQ(rig.ca.stats().bindCachePeakKernels, 2u);
-    EXPECT_EQ(rig.ca.stats().bindCacheEvictions, 1u);
-    check(k2, 200);             // still cached: no new eviction
-    EXPECT_EQ(rig.ca.stats().bindCacheEvictions, 1u);
-    check(k1, 100);             // rebinds, evicting the LRU (k3)
-    EXPECT_EQ(rig.ca.stats().bindCacheEvictions, 2u);
-    EXPECT_EQ(rig.ca.stats().bindCachePeakKernels, 2u);
-}
-
-TEST(PredecodeTest, BindCacheUncappedKeepsAllKernels)
-{
-    // At the default (generous) cap no eviction should ever fire for a
-    // handful of kernels, and the peak tracks the distinct-kernel count.
-    MachineConfig cfg;
-    ClusterRig rig(cfg);
-    const uint32_t trip = 2;
-    std::vector<Word> in(trip * numClusters, 5);
-    std::vector<CompiledKernel> ks;
-    for (int i = 0; i < 6; ++i) {
-        ks.push_back(scaleKernel(
-            cfg, ("k" + std::to_string(i)).c_str(), i));
-    }
-    for (const CompiledKernel &k : ks)
-        rig.run(k, {in});
-    for (const CompiledKernel &k : ks)
-        rig.run(k, {in});       // second pass: every bind is a hit
-    EXPECT_EQ(rig.ca.stats().bindCachePeakKernels, 6u);
-    EXPECT_EQ(rig.ca.stats().bindCacheEvictions, 0u);
 }

@@ -24,8 +24,25 @@ namespace imagine::testutil
 /** SRF + cluster array, with helpers to run one kernel standalone. */
 struct ClusterRig
 {
-    explicit ClusterRig(const MachineConfig &c) : cfg(c), srf(cfg),
-                                                  ca(cfg, srf) {}
+    explicit ClusterRig(const MachineConfig &c)
+        : cfg(c), srf(cfg), ca(cfg, srf, kernels)
+    {
+    }
+
+    /**
+     * The registry id of @p k, registering a copy on first sight.
+     * Copies of one compiled kernel share its lowered trace, which
+     * identifies it.
+     */
+    uint16_t
+    id(const kernelc::CompiledKernel &k)
+    {
+        for (size_t i = 0; i < kernels.size(); ++i)
+            if (kernels[i].lowered == k.lowered)
+                return static_cast<uint16_t>(i);
+        kernels.push_back(k);
+        return static_cast<uint16_t>(kernels.size() - 1);
+    }
 
     /**
      * Run @p k once over the given input streams.
@@ -77,7 +94,7 @@ struct ClusterRig
             srfPos += cap;
         }
 
-        ca.start(&k, ins, outs, explicitTrip);
+        ca.start(id(k), ins, outs, explicitTrip);
         cycles = 0;
         while (!ca.done()) {
             // Sampled fidelity (enabled via ca.setSampling): the folded
@@ -107,6 +124,7 @@ struct ClusterRig
 
     MachineConfig cfg;
     Srf srf;
+    KernelRegistry kernels;
     ClusterArray ca;
     uint64_t cycles = 0;
 };

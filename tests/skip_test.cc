@@ -151,7 +151,8 @@ driveKernel(const MachineConfig &cfg, const CompiledKernel &k,
             const std::vector<std::vector<Word>> &inputs, bool skipping)
 {
     Srf srf(cfg);
-    ClusterArray ca(cfg, srf);
+    KernelRegistry kernels{k};
+    ClusterArray ca(cfg, srf, kernels);
     std::vector<ClusterArray::Binding> ins, outs;
     std::vector<uint32_t> outOff, outCap;
     uint32_t srfPos = 0;
@@ -185,7 +186,7 @@ driveKernel(const MachineConfig &cfg, const CompiledKernel &k,
         srfPos += cap;
     }
 
-    ca.start(&k, ins, outs);
+    ca.start(0, ins, outs);
     RigOutcome r;
     Cycle now = 0;
     while (!ca.done()) {

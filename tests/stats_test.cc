@@ -216,11 +216,15 @@ TEST(CompileCacheTest, SecondCompileHitsConfigChangeMisses)
     EXPECT_EQ(cache.hits(), h0);
     EXPECT_EQ(cache.misses(), m0 + 1);
 
-    // Identical graph + identical compile-relevant config: hit.
+    // Identical graph + identical compile-relevant config: hit.  The
+    // sessions' registry copies share the one lowered trace.
     ImagineSystem b(cfg);
     b.registerKernel(kernels::streamLength(16, 16));
     EXPECT_EQ(cache.hits(), h0 + 1);
     EXPECT_EQ(cache.misses(), m0 + 1);
+    ASSERT_NE(a.kernels()[0].lowered, nullptr);
+    EXPECT_EQ(a.kernels()[0].lowered, b.kernels()[0].lowered);
+    EXPECT_EQ(cache.loweredMisses(), cache.misses());
 
     // Compile-irrelevant config change (fault seed): still a hit.
     MachineConfig faulty = cfg;
