@@ -1,80 +1,40 @@
-#include "ckpt/report.hh"
-
 #include "ckpt/serializer.hh"
+#include "sim/error.hh"
 
-namespace imagine::ckpt
+namespace imagine
 {
 
 void
-saveHangReport(Serializer &s, const HangReport &r)
+HangReport::state(ckpt::Archive &ar)
 {
-    s.u64(r.cycle);
-    s.u64(r.lastProgressCycle);
-    s.u64(r.cycleLimit);
-    s.u64(r.instrsRetired);
-    s.u64(r.slots.size());
-    for (const HangReport::SlotInfo &sl : r.slots) {
-        s.u32(sl.idx);
-        s.str(sl.label);
-        s.str(sl.kind);
-        s.str(sl.state);
-        s.vec(sl.waitingOn);
-        s.i32(sl.ag);
-        s.i32(sl.retries);
-    }
-    s.vec(r.depCycle);
-    s.u64(r.ags.size());
-    for (const HangReport::AgInfo &ag : r.ags) {
-        s.i32(ag.ag);
-        s.b(ag.active);
-        s.b(ag.isLoad);
-        s.b(ag.sink);
-        s.u32(ag.completed);
-        s.u32(ag.length);
-    }
-    s.u64(r.queuedDramRequests);
-    s.u64(r.hostNext);
-    s.b(r.hostFinished);
-    s.u64(r.hostBlockedUntil);
-    s.b(r.clustersBusy);
-    s.u64(r.clusterKernelCycles);
+    ar.u64(cycle);
+    ar.u64(lastProgressCycle);
+    ar.u64(cycleLimit);
+    ar.u64(instrsRetired);
+    ar.list(slots, [&](SlotInfo &sl) {
+        ar.u32(sl.idx);
+        ar.str(sl.label);
+        ar.str(sl.kind);
+        ar.str(sl.state);
+        ar.vec(sl.waitingOn);
+        ar.i32(sl.ag);
+        ar.i32(sl.retries);
+    });
+    ar.vec(depCycle);
+    ar.list(ags, [&](AgInfo &ag) {
+        ar.i32(ag.ag);
+        ar.b(ag.active);
+        ar.b(ag.isLoad);
+        ar.b(ag.sink);
+        ar.u32(ag.completed);
+        ar.u32(ag.length);
+    });
+    ar.u64(queuedDramRequests);
+    ar.u64(hostNext);
+    ar.b(hostFinished);
+    ar.u64(hostBlockedUntil);
+    ar.b(clustersBusy);
+    ar.u64(clusterKernelCycles);
 }
 
-HangReport
-loadHangReport(Deserializer &d)
-{
-    HangReport r;
-    r.cycle = d.u64();
-    r.lastProgressCycle = d.u64();
-    r.cycleLimit = d.u64();
-    r.instrsRetired = d.u64();
-    r.slots.resize(d.u64());
-    for (HangReport::SlotInfo &sl : r.slots) {
-        sl.idx = d.u32();
-        sl.label = d.str();
-        sl.kind = d.str();
-        sl.state = d.str();
-        sl.waitingOn = d.vec<uint32_t>();
-        sl.ag = d.i32();
-        sl.retries = d.i32();
-    }
-    r.depCycle = d.vec<uint32_t>();
-    r.ags.resize(d.u64());
-    for (HangReport::AgInfo &ag : r.ags) {
-        ag.ag = d.i32();
-        ag.active = d.b();
-        ag.isLoad = d.b();
-        ag.sink = d.b();
-        ag.completed = d.u32();
-        ag.length = d.u32();
-    }
-    r.queuedDramRequests = d.u64();
-    r.hostNext = d.u64();
-    r.hostFinished = d.b();
-    r.hostBlockedUntil = d.u64();
-    r.clustersBusy = d.b();
-    r.clusterKernelCycles = d.u64();
-    return r;
-}
-
-} // namespace imagine::ckpt
+} // namespace imagine

@@ -194,6 +194,13 @@ Deserializer::str()
     return s;
 }
 
+void
+Archive::fail(const char *what) const
+{
+    ::imagine::ckpt::fail("section \"" + in_->sectionName() + "\": " +
+                          what);
+}
+
 std::vector<RawSection>
 readSections(const std::string &path)
 {

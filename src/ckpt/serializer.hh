@@ -16,9 +16,13 @@
  * bytes of the architectural sections between a faulty and a fault-free
  * run without deserializing either.  Within a section, values are
  * written field-by-field in declaration order by each component's
- * saveState()/loadState() pair; every read is bounds-checked against
- * the section length, so a version-skewed or truncated file fails with
- * SimError(Fatal) instead of reading garbage.
+ * state(Archive &), the one field list that both writes a snapshot and
+ * reads it back.  Every read is bounds-checked against the section
+ * length, every list count against the section remainder, and every
+ * loaded index, size or enumerator that later code dereferences or
+ * switches on against the restoring session's shape, so a truncated,
+ * version-skewed or corrupted file fails with SimError(Fatal)
+ * "checkpoint: ..." instead of crashing or reading garbage.
  *
  * Versioning rule: any change to a section's field sequence bumps
  * kVersion; there is no in-place migration (checkpoints are short-lived
@@ -119,6 +123,8 @@ class Deserializer
     static Deserializer fromFile(const std::string &path);
 
     uint32_t version() const { return version_; }
+    /** Name of the section the cursor is in. */
+    const std::string &sectionName() const { return current_; }
 
     bool hasSection(const std::string &name) const;
     /** Position the cursor at the start of section @p name. */
@@ -152,13 +158,14 @@ class Deserializer
         return v;
     }
 
+    /** Reject counts whose payload cannot fit the section remainder. */
+    size_t checkedCount(uint64_t count, size_t elemSize) const;
+
   private:
     friend std::vector<struct RawSection>
     readSections(const std::string &path);
 
     void raw(void *p, size_t n);
-    /** Reject counts whose payload cannot fit the section remainder. */
-    size_t checkedCount(uint64_t count, size_t elemSize) const;
 
     uint32_t version_ = 0;
     std::vector<uint8_t> image_;
@@ -172,6 +179,113 @@ class Deserializer
     size_t cursor_ = 0;
     size_t sectionEnd_ = 0;
     std::string current_;
+};
+
+/**
+ * One field list for both directions.  A component's state(Archive &)
+ * names each field once (`ar.u32(c.offset)`); the archive writes the
+ * field through a Serializer or overwrites it from a Deserializer, so
+ * the writer and the reader cannot drift apart.  Load-only work
+ * (validation, derived state, re-binding pointers) sits under
+ * `if (ar.loading())`; check() is a no-op when saving.
+ */
+class Archive
+{
+  public:
+    explicit Archive(Serializer &s) : out_(&s) {}
+    explicit Archive(Deserializer &d) : in_(&d) {}
+
+    bool loading() const { return in_ != nullptr; }
+
+    /** Begin (save) or seek to (load) section @p name. */
+    void
+    section(const std::string &name)
+    {
+        if (in_)
+            in_->section(name);
+        else
+            out_->section(name);
+    }
+
+    void u8(uint8_t &v) { io(v, &Deserializer::u8, &Serializer::u8); }
+    void u16(uint16_t &v) { io(v, &Deserializer::u16, &Serializer::u16); }
+    void u32(uint32_t &v) { io(v, &Deserializer::u32, &Serializer::u32); }
+    void u64(uint64_t &v) { io(v, &Deserializer::u64, &Serializer::u64); }
+    void i32(int32_t &v) { io(v, &Deserializer::i32, &Serializer::i32); }
+    void i64(int64_t &v) { io(v, &Deserializer::i64, &Serializer::i64); }
+    void b(bool &v) { io(v, &Deserializer::b, &Serializer::b); }
+    void f64(double &v) { io(v, &Deserializer::f64, &Serializer::f64); }
+    void
+    str(std::string &v)
+    {
+        if (in_)
+            v = in_->str();
+        else
+            out_->str(v);
+    }
+    template <typename T>
+    void
+    vec(std::vector<T> &v)
+    {
+        if (in_)
+            v = in_->vec<T>();
+        else
+            out_->vec(v);
+    }
+    /** An enumerator stored as one byte; on load, one past @p last is
+     *  rejected. */
+    template <typename E>
+    void
+    e8(E &v, E last)
+    {
+        uint8_t raw = static_cast<uint8_t>(v);
+        u8(raw);
+        check(raw <= static_cast<uint8_t>(last), "enumerator out of range");
+        v = static_cast<E>(raw);
+    }
+
+    /**
+     * A list: its element count (u64), then @p each on every element.
+     * On load the container is resized to the count read, which must
+     * fit the section remainder and not exceed @p limit.
+     */
+    template <typename C, typename F>
+    void
+    list(C &c, F &&each, size_t limit = SIZE_MAX)
+    {
+        uint64_t n = c.size();
+        u64(n);
+        if (in_) {
+            check(in_->checkedCount(n, 1) <= limit, "list too long");
+            c = C(static_cast<size_t>(n));
+        }
+        for (auto &x : c)
+            each(x);
+    }
+
+    /** On load, reject the image unless @p ok: SimError(Fatal)
+     *  "checkpoint: section "<name>": <what>". */
+    void
+    check(bool ok, const char *what) const
+    {
+        if (in_ && !ok)
+            fail(what);
+    }
+
+  private:
+    template <typename T>
+    void
+    io(T &v, T (Deserializer::*read)(), void (Serializer::*write)(T))
+    {
+        if (in_)
+            v = (in_->*read)();
+        else
+            (out_->*write)(v);
+    }
+    [[noreturn]] void fail(const char *what) const;
+
+    Serializer *out_ = nullptr;
+    Deserializer *in_ = nullptr;
 };
 
 /** One raw section of a checkpoint file (bisect / tooling view). */

@@ -1187,90 +1187,60 @@ ClusterArray::skipIdle(Cycle from, uint64_t span)
 }
 
 void
-ClusterArray::saveState(ckpt::Serializer &s) const
+ClusterArray::state(ckpt::Archive &ar)
 {
-    s.vec(ucrs_);
-    s.vec(scratchpad_);
+    ar.vec(ucrs_);
+    ar.check(ucrs_.size() == static_cast<size_t>(cfg_.numUcrs),
+             "UCR count differs from the config");
+    ar.vec(scratchpad_);
+    ar.check(scratchpad_.size() ==
+                 static_cast<size_t>(cfg_.scratchpadWords),
+             "scratchpad size differs from the config");
     // Per-kernel state in kernel-id order; the lowered traces belong to
     // the registry and are never serialized.
-    s.u64(binds_.size());
-    for (const KernelBind &b : binds_) {
-        s.b(b.hasRun);
-        s.vec(b.saved);
-    }
-    s.u16(kernel_);
-    s.u16(lastKernel_);
-    s.u64(ins_.size());
-    for (const Binding &b : ins_) {
-        s.i32(b.client);
-        s.u32(b.length);
-    }
-    s.u64(outs_.size());
-    for (const Binding &b : outs_) {
-        s.i32(b.client);
-        s.u32(b.length);
-    }
-    s.u32(trip_);
-    s.b(restart_);
-    s.b(skipPrologue_);
-    s.b(insResident_);
-    s.u8(static_cast<uint8_t>(phase_));
-    s.u64(t_);
-    s.u64(kernelCycles_);
-    s.u64(stallWatchdog_);
-    s.u64(proCursor_);
-    s.u64(epiCursor_);
-    s.vec(values_);
-}
-
-void
-ClusterArray::loadState(ckpt::Deserializer &d)
-{
-    ucrs_ = d.vec<Word>();
-    scratchpad_ = d.vec<std::array<Word, numClusters>>();
-    const uint64_t n = d.u64();
-    if (n > kernels_.size())
-        IMAGINE_FATAL("checkpoint: state for %llu kernels, %zu registered",
-                      static_cast<unsigned long long>(n), kernels_.size());
-    binds_.assign(n, KernelBind{});
-    for (size_t id = 0; id < n; ++id) {
-        KernelBind &b = binds_[id];
-        b.hasRun = d.b();
-        b.saved = d.vec<std::array<Word, numClusters>>();
-        if (!b.saved.empty() &&
-            b.saved.size() != kernels_[id].lowered->accs.size())
-            IMAGINE_FATAL("checkpoint: %zu saved accumulators mismatch",
-                          b.saved.size());
-    }
-    kernel_ = d.u16();
-    lastKernel_ = d.u16();
-    if (kernel_ != kNoKernel && kernel_ >= n)
-        IMAGINE_FATAL("checkpoint: kernel id %u out of range", kernel_);
-    ins_.assign(d.u64(), Binding{});
-    for (Binding &b : ins_) {
-        b.client = d.i32();
-        b.length = d.u32();
-    }
-    outs_.assign(d.u64(), Binding{});
-    for (Binding &b : outs_) {
-        b.client = d.i32();
-        b.length = d.u32();
-    }
-    trip_ = d.u32();
-    restart_ = d.b();
-    skipPrologue_ = d.b();
-    insResident_ = d.b();
-    phase_ = static_cast<Phase>(d.u8());
-    t_ = d.u64();
-    kernelCycles_ = d.u64();
-    stallWatchdog_ = d.u64();
-    proCursor_ = d.u64();
-    epiCursor_ = d.u64();
-    values_ = d.vec<Word>();
+    size_t id = 0;
+    ar.list(binds_, [&](KernelBind &b) {
+        ar.b(b.hasRun);
+        ar.vec(b.saved);
+        ar.check(b.saved.empty() ||
+                     b.saved.size() == kernels_[id].lowered->accs.size(),
+                 "saved accumulators differ from the kernel");
+        ++id;
+    }, kernels_.size());
+    ar.u16(kernel_);
+    ar.check(kernel_ == kNoKernel || kernel_ < binds_.size(),
+             "kernel id out of range");
+    ar.u16(lastKernel_);
+    ar.vec(ins_);
+    ar.vec(outs_);
+    ar.u32(trip_);
+    ar.b(restart_);
+    ar.b(skipPrologue_);
+    ar.b(insResident_);
+    ar.e8(phase_, Phase::Done);
+    ar.check(phase_ == Phase::Idle || kernel_ != kNoKernel,
+             "busy phase without a kernel");
+    ar.u64(t_);
+    ar.u64(kernelCycles_);
+    ar.u64(stallWatchdog_);
+    ar.u64(proCursor_);
+    ar.u64(epiCursor_);
+    ar.vec(values_);
     // Everything derived from (kernel, trip) is recomputed, not
     // restored: same inputs, same tables.
-    if (kernel_ != kNoKernel)
-        bindDerived();
+    if (!ar.loading() || kernel_ == kNoKernel)
+        return;
+    const CompiledKernel &k = kernel();
+    ar.check(static_cast<int>(ins_.size()) == k.graph.numInStreams &&
+                 static_cast<int>(outs_.size()) == k.graph.numOutStreams,
+             "stream bindings differ from the kernel");
+    bindDerived();
+    ar.check(proCursor_ <= low_->prologue.ops.size() &&
+                 epiCursor_ <= low_->epilogue.ops.size(),
+             "issue cursor past the kernel's code");
+    ar.check(values_.size() == static_cast<size_t>(k.graph.nodes.size()) *
+                                   low_->depth * numClusters,
+             "value buffer size differs from the kernel");
 }
 
 } // namespace imagine

@@ -142,8 +142,7 @@ class ClusterArray : public Component
     void resetStats() override { stats_ = {}; }
     Cycle nextEventAfter(Cycle now) const override;
     void skipIdle(Cycle from, uint64_t span) override;
-    void saveState(ckpt::Serializer &s) const override;
-    void loadState(ckpt::Deserializer &d) override;
+    void state(ckpt::Archive &ar) override;
 
     // --- micro-controller scalar registers ----------------------------
     Word ucr(int i) const { return ucrs_.at(static_cast<size_t>(i)); }
@@ -212,7 +211,7 @@ class ClusterArray : public Component
      * Re-derive every launch table that is a pure function of the bound
      * kernel, trip count and config: loop extents, steady-state window,
      * sweep tables and the fold plan, all read off the kernel's lowered
-     * trace.  Called by start() at launch and by loadState() after a
+     * trace.  Called by start() at launch and by state() after a
      * restore, so a restored run rebinds deterministically.
      */
     void bindDerived();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <ctime>
 
-#include "ckpt/report.hh"
 #include "ckpt/serializer.hh"
 #include "kernelc/compile_cache.hh"
 #include "sim/log.hh"
@@ -233,9 +232,8 @@ namespace
 
 /** Run ordinal recorded in a checkpoint's meta section. */
 uint64_t
-checkpointRunOrdinal(const std::string &path)
+checkpointRunOrdinal(ckpt::Deserializer &d)
 {
-    ckpt::Deserializer d = ckpt::Deserializer::fromFile(path);
     d.section("meta");
     d.u64();  // config fingerprint
     d.u64();  // program fingerprint
@@ -325,7 +323,9 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
     // the earlier runs from scratch (they are deterministic) and
     // restores when its recorded ordinal comes up.
     if (!cfg_.restorePath.empty() && !restoreConsumed_) {
-        uint64_t ord = checkpointRunOrdinal(cfg_.restorePath);
+        ckpt::Deserializer d =
+            ckpt::Deserializer::fromFile(cfg_.restorePath);
+        uint64_t ord = checkpointRunOrdinal(d);
         if (ord < runIndex)
             throw SimError(
                 SimErrorKind::Fatal,
@@ -336,9 +336,9 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
                        static_cast<unsigned long long>(runIndex)));
         if (ord == runIndex) {
             restoreConsumed_ = true;
-            restoreCheckpoint(cfg_.restorePath, program, playback,
-                              runIndex, start, lastProgress, trace0,
-                              before);
+            ckpt::Archive ar(d);
+            checkpoint(ar, cfg_.restorePath, program, playback, runIndex,
+                       start, lastProgress, trace0, before, nullptr);
             lastMetric = progress();
             // Component state is restored, but trace bookkeeping (slot
             // track leases, the cluster's per-launch spans) is not
@@ -352,6 +352,14 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
             }
         }
     }
+    auto saveCheckpoint = [&](const std::string &path,
+                              const SimError *err) {
+        ckpt::Serializer s;
+        ckpt::Archive ar(s);
+        checkpoint(ar, path, program, playback, runIndex, start,
+                   lastProgress, trace0, before, err);
+        s.writeFile(path);
+    };
     const uint64_t ckptEvery = cfg_.checkpointEveryCycles;
     const bool ckptPeriodic =
         ckptEvery > 0 && !cfg_.checkpointPath.empty();
@@ -386,9 +394,7 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
         // writing run performed after it.
         if (ckptPeriodic && (cycle_ - start) % ckptEvery == 0 &&
             cycle_ != lastCkpt) {
-            saveCheckpoint(cfg_.checkpointPath, program, playback,
-                           runIndex, start, lastProgress, trace0,
-                           before, nullptr);
+            saveCheckpoint(cfg_.checkpointPath, nullptr);
             lastCkpt = cycle_;
             if (checkpointHook_)
                 checkpointHook_(cycle_ - start, cfg_.checkpointPath);
@@ -504,9 +510,7 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
         if (!cfg_.checkpointPath.empty() &&
             e.kind() != SimErrorKind::Canceled) {
             try {
-                saveCheckpoint(cfg_.checkpointPath + ".crash", program,
-                               playback, runIndex, start, lastProgress,
-                               trace0, before, &e);
+                saveCheckpoint(cfg_.checkpointPath + ".crash", &e);
             } catch (const SimError &) {
             }
         }
@@ -724,71 +728,12 @@ ImagineSystem::buildHangReport(Cycle lastProgress,
 }
 
 void
-ImagineSystem::saveCheckpoint(const std::string &path,
-                              const StreamProgram &program,
-                              bool playback, uint64_t runIndex,
-                              uint64_t start, Cycle lastProgress,
-                              size_t trace0,
-                              const StatsSnapshot &before,
-                              const SimError *err) const
+ImagineSystem::checkpoint(ckpt::Archive &ar, const std::string &path,
+                          const StreamProgram &program, bool playback,
+                          uint64_t runIndex, uint64_t &start,
+                          Cycle &lastProgress, size_t &trace0,
+                          StatsSnapshot &before, const SimError *err)
 {
-    ckpt::Serializer s;
-    s.section("meta");
-    s.u64(configFingerprint(cfg_));
-    s.u64(programFingerprint(program));
-    s.u64(kernelsFingerprint(kernels_));
-    s.u64(runIndex);
-    s.b(playback);
-    s.section("run");
-    s.u64(cycle_);
-    s.u64(start);
-    s.u64(lastProgress);
-    s.u64(trace0);
-    // Stat names travel with the values so a restoring session whose
-    // registry shape differs (different trace knobs register different
-    // stats) can match by name instead of position.
-    std::vector<std::string> statNames = stats_.names();
-    s.u64(statNames.size());
-    for (const std::string &n : statNames)
-        s.str(n);
-    s.vec(before.values());
-    s.vec(stats_.snapshot().values());
-    s.section("host");
-    host_.saveState(s);
-    s.section("sc");
-    sc_.saveState(s);
-    s.section("cluster");
-    clusters_.saveState(s);
-    s.section("mem");
-    mem_.saveState(s);
-    s.section("srf");
-    srf_.saveState(s);
-    s.section("faults");
-    s.b(inj_ != nullptr);
-    if (inj_)
-        inj_->saveState(s);
-    if (err) {
-        s.section("report");
-        s.u8(static_cast<uint8_t>(err->kind()));
-        s.str(err->what());
-        const HangReport *hr = err->hangReport();
-        s.b(hr != nullptr);
-        if (hr)
-            ckpt::saveHangReport(s, *hr);
-    }
-    s.writeFile(path);
-}
-
-void
-ImagineSystem::restoreCheckpoint(const std::string &path,
-                                 const StreamProgram &program,
-                                 bool playback, uint64_t runIndex,
-                                 uint64_t &start, Cycle &lastProgress,
-                                 size_t &trace0,
-                                 StatsSnapshot &before)
-{
-    ckpt::Deserializer d = ckpt::Deserializer::fromFile(path);
-    d.section("meta");
     auto verify = [&path](const char *what, uint64_t got,
                           uint64_t want) {
         if (got != want)
@@ -801,48 +746,51 @@ ImagineSystem::restoreCheckpoint(const std::string &path,
                        static_cast<unsigned long long>(got),
                        static_cast<unsigned long long>(want)));
     };
-    verify("config fingerprint", d.u64(), configFingerprint(cfg_));
-    verify("program fingerprint", d.u64(), programFingerprint(program));
-    verify("kernel-registry fingerprint", d.u64(),
-           kernelsFingerprint(kernels_));
-    verify("run ordinal", d.u64(), runIndex);
-    verify("playback mode", d.b() ? 1 : 0, playback ? 1 : 0);
-    d.section("run");
-    cycle_ = d.u64();
-    start = d.u64();
-    lastProgress = d.u64();
-    trace0 = static_cast<size_t>(d.u64());
-    // Name-matched stats transfer: the writer's registry shape may
-    // differ from ours when engine-only knobs diverge - the headline
-    // case is fast-forwarding an untraced run to a region of interest,
-    // then restoring with cfg.trace on to pay the tracer's overhead
-    // only over the tail.  Stats the writer lacked (trace.*) keep
-    // their current value in `before`, so the run delta counts them
-    // from the restore point.
-    uint64_t nNames = d.u64();
-    if (nNames > (1u << 20))
-        throw SimError(SimErrorKind::Fatal,
-                       strfmt("checkpoint %s: implausible stat-name "
-                              "count %llu",
-                              path.c_str(),
-                              static_cast<unsigned long long>(nNames)));
-    std::vector<std::string> statNames(static_cast<size_t>(nNames));
-    for (std::string &n : statNames)
-        n = d.str();
-    std::vector<uint64_t> beforeVals = d.vec<uint64_t>();
-    std::vector<uint64_t> currentVals = d.vec<uint64_t>();
-    d.section("host");
-    host_.loadState(d);
-    d.section("sc");
-    sc_.loadState(d);
-    d.section("cluster");
-    clusters_.loadState(d);
-    d.section("mem");
-    mem_.loadState(d);
-    d.section("srf");
-    srf_.loadState(d);
-    d.section("faults");
-    bool hadInjector = d.b();
+    // The session's fingerprints: written on save, compared on load.
+    auto fingerprint = [&](const char *what, uint64_t want) {
+        uint64_t got = want;
+        ar.u64(got);
+        verify(what, got, want);
+    };
+    ar.section("meta");
+    fingerprint("config fingerprint", configFingerprint(cfg_));
+    fingerprint("program fingerprint", programFingerprint(program));
+    fingerprint("kernel-registry fingerprint", kernelsFingerprint(kernels_));
+    fingerprint("run ordinal", runIndex);
+    bool wrotePlayback = playback;
+    ar.b(wrotePlayback);
+    verify("playback mode", wrotePlayback, playback);
+
+    ar.section("run");
+    ar.u64(cycle_);
+    ar.u64(start);
+    ar.u64(lastProgress);
+    ar.u64(trace0);
+    // Stat names travel with the values so a restoring session whose
+    // registry shape differs (different trace knobs register different
+    // stats) can match by name instead of position.
+    std::vector<std::string> statNames;
+    std::vector<uint64_t> beforeVals, currentVals;
+    if (!ar.loading()) {
+        statNames = stats_.names();
+        beforeVals = before.values();
+        currentVals = stats_.snapshot().values();
+    }
+    ar.list(statNames, [&](std::string &n) { ar.str(n); });
+    ar.vec(beforeVals);
+    ar.vec(currentVals);
+    ar.check(beforeVals.size() == statNames.size() &&
+                 currentVals.size() == statNames.size(),
+             "stat values differ from the stat names");
+
+    for (Component *c : components_) {
+        ar.section(c->componentName());
+        c->state(ar);
+    }
+
+    ar.section("faults");
+    bool hadInjector = inj_ != nullptr;
+    ar.b(hadInjector);
     if (hadInjector != (inj_ != nullptr))
         throw SimError(SimErrorKind::Fatal,
                        strfmt("checkpoint %s: fault-injection state "
@@ -850,13 +798,41 @@ ImagineSystem::restoreCheckpoint(const std::string &path,
                               "present=%d",
                               path.c_str(), hadInjector ? 1 : 0,
                               inj_ ? 1 : 0));
-    if (inj_)
-        inj_->loadState(d);
-    // Every registered counter - component stats, fault stats, the
-    // idle-cause vector - restored in one name-matched pass through
-    // the registry; saved names this session lacks are dropped.
-    before = stats_.mergeSnapshot(statNames, beforeVals);
-    stats_.restoreNamed(statNames, currentVals);
+    if (inj_) {
+        inj_->state(ar);
+        ar.check(trace0 <= inj_->trace().size(),
+                 "run's fault-trace mark past the trace end");
+    }
+
+    // Crash snapshots only: the error and its HangReport, for tooling
+    // (a restore never reads this section).
+    if (err) {
+        ar.section("report");
+        uint8_t kind = static_cast<uint8_t>(err->kind());
+        std::string what = err->what();
+        const HangReport *hr = err->hangReport();
+        bool hasReport = hr != nullptr;
+        ar.u8(kind);
+        ar.str(what);
+        ar.b(hasReport);
+        if (hr) {
+            HangReport copy = *hr;
+            copy.state(ar);
+        }
+    }
+
+    if (ar.loading()) {
+        // Name-matched stats transfer: the writer's registry shape may
+        // differ from ours when engine-only knobs diverge - the headline
+        // case is fast-forwarding an untraced run to a region of
+        // interest, then restoring with cfg.trace on to pay the
+        // tracer's overhead only over the tail.  Stats the writer
+        // lacked (trace.*) keep their current value in `before`, so
+        // the run delta counts them from the restore point; saved
+        // names this session lacks are dropped.
+        before = stats_.mergeSnapshot(statNames, beforeVals);
+        stats_.restoreNamed(statNames, currentVals);
+    }
 }
 
 } // namespace imagine

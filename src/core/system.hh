@@ -252,28 +252,22 @@ class ImagineSystem
         Cycle lastProgress, uint64_t cycleLimit) const;
 
     /**
-     * Serialize full machine state to @p path: config/program
-     * fingerprints, the run-loop state, every component, the stats
-     * registry and the fault injector.  @p err non-null marks a crash
-     * snapshot and appends the "report" section (error kind, message,
-     * HangReport).
+     * Save or restore the full machine state through @p ar, one field
+     * list for both directions: config/program/kernel fingerprints and
+     * run ordinal ("meta": written on save, checked on load), the
+     * run-loop state and stats registry ("run"), every component in
+     * components_ order, and the fault injector.  A restore runs after
+     * loadProgram() replayed the session setup and throws
+     * SimError(Fatal) on any mismatch or corrupt field.  @p err
+     * non-null (save only) marks a crash snapshot and appends the
+     * "report" section (error kind, message, HangReport).  @p path
+     * names the file in error messages.
      */
-    void saveCheckpoint(const std::string &path,
-                        const StreamProgram &program, bool playback,
-                        uint64_t runIndex, uint64_t start,
-                        Cycle lastProgress, size_t trace0,
-                        const StatsSnapshot &before,
-                        const SimError *err) const;
-    /**
-     * Overlay @p path's state after loadProgram() replayed the session
-     * setup.  Verifies the config/program/kernel fingerprints and the
-     * run ordinal; throws SimError(Fatal) on any mismatch.
-     */
-    void restoreCheckpoint(const std::string &path,
-                           const StreamProgram &program, bool playback,
-                           uint64_t runIndex, uint64_t &start,
-                           Cycle &lastProgress, size_t &trace0,
-                           StatsSnapshot &before);
+    void checkpoint(ckpt::Archive &ar, const std::string &path,
+                    const StreamProgram &program, bool playback,
+                    uint64_t runIndex, uint64_t &start,
+                    Cycle &lastProgress, size_t &trace0,
+                    StatsSnapshot &before, const SimError *err);
 
     MachineConfig cfg_;
     KernelRegistry kernels_;

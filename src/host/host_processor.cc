@@ -144,23 +144,16 @@ HostProcessor::nextEventAfter(Cycle now) const
 }
 
 void
-HostProcessor::saveState(ckpt::Serializer &s) const
+HostProcessor::state(ckpt::Archive &ar)
 {
     // program_ is re-bound by loadProgram() before a restore; only the
     // dispatcher position and interface timers are checkpoint state.
-    s.u64(next_);
-    s.f64(budget_);
-    s.u64(blockedUntil_);
-    s.b(playback_);
-}
-
-void
-HostProcessor::loadState(ckpt::Deserializer &d)
-{
-    next_ = d.u64();
-    budget_ = d.f64();
-    blockedUntil_ = d.u64();
-    playback_ = d.b();
+    ar.u64(next_);
+    ar.check(next_ <= program_->instrs.size(),
+             "host position past the program end");
+    ar.f64(budget_);
+    ar.u64(blockedUntil_);
+    ar.b(playback_);
 }
 
 void

@@ -68,8 +68,7 @@ class HostProcessor : public Component
     void resetStats() override { stats_ = {}; }
     Cycle nextEventAfter(Cycle now) const override;
     void skipIdle(Cycle from, uint64_t span) override;
-    void saveState(ckpt::Serializer &s) const override;
-    void loadState(ckpt::Deserializer &d) override;
+    void state(ckpt::Archive &ar) override;
 
     /** Next program instruction to dispatch (hang diagnostics). */
     size_t nextInstr() const { return next_; }

@@ -747,92 +747,79 @@ StreamController::dumpHang(HangReport &report) const
 }
 
 void
-StreamController::saveState(ckpt::Serializer &s) const
+StreamController::state(ckpt::Archive &ar)
 {
-    s.u64(slots_.size());
-    for (const Slot &sl : slots_) {
+    const size_t nInstrs = program_->instrs.size();
+    const int nAgs = cfg_.numAddressGenerators;
+    auto agInRange = [nAgs](int ag) { return ag >= -1 && ag < nAgs; };
+    ar.list(slots_, [&](Slot &sl) {
         // The instr pointer is always &program_->instrs[idx] (enqueue
         // stores the reference it is handed), so idx alone recovers it.
-        s.u32(sl.idx);
-        s.u8(static_cast<uint8_t>(sl.state));
-        s.u64(sl.issueDone);
-        s.i32(sl.ag);
-        s.i32(sl.retries);
-        s.b(sl.inPlace);
-        s.vec(sl.inClients);
-        s.vec(sl.outClients);
-    }
-    s.vec(done_);
-    s.i32(reservedAg_);
-    s.b(issueBusy_);
-    s.u64(issueBusyUntil_);
-    s.u64(sdrs_.size());
-    for (const Sdr &r : sdrs_) {
-        s.u32(r.srfOffset);
-        s.u32(r.length);
-    }
-    s.u64(mars_.size());
-    for (const Mar &m : mars_) {
-        s.u64(m.baseWord);
-        s.u8(static_cast<uint8_t>(m.mode));
-        s.u32(m.strideWords);
-        s.u32(m.recordWords);
-    }
-    s.vec(ucrs_);
-    // LRU order is meaningful; the list serializes front to back.
-    s.u64(ucodeLru_.size());
-    for (uint16_t id : ucodeLru_)
-        s.u16(id);
-    s.i32(ucodeUsed_);
-    s.i32(ucodeLoadAg_);
-    s.u16(ucodeLoading_);
-    s.i32(ucodeRetries_);
-    s.u8(static_cast<uint8_t>(idleCause_));
-}
-
-void
-StreamController::loadState(ckpt::Deserializer &d)
-{
-    slots_.assign(d.u64(), Slot{});
-    for (Slot &sl : slots_) {
-        sl.idx = d.u32();
+        ar.u32(sl.idx);
+        ar.check(sl.idx < nInstrs, "slot instruction index out of range");
+        ar.e8(sl.state, SlotState::Stuck);
+        ar.u64(sl.issueDone);
+        ar.i32(sl.ag);
+        ar.check(agInRange(sl.ag), "slot AG out of range");
+        ar.i32(sl.retries);
+        ar.b(sl.inPlace);
+        ar.vec(sl.inClients);
+        ar.vec(sl.outClients);
+        if (!ar.loading())
+            return;
         sl.instr = &program_->instrs[sl.idx];
-        sl.state = static_cast<SlotState>(d.u8());
-        sl.issueDone = d.u64();
-        sl.ag = d.i32();
-        sl.retries = d.i32();
-        sl.inPlace = d.b();
-        sl.inClients = d.vec<int>();
-        sl.outClients = d.vec<int>();
+        const bool issued = sl.state == SlotState::Issuing ||
+                            sl.state == SlotState::Running;
+        // An issued memory op drives its AG directly.
+        ar.check(!issued || !isMemOp(sl.instr->kind) || sl.ag >= 0,
+                 "issued memory op without an AG");
+        // A dispatched kernel holds one SRF client per stream binding
+        // (kept after a lost completion); no other slot holds any.
+        const bool held = sl.state == SlotState::Running ||
+                          sl.state == SlotState::Stuck;
+        auto clientsFit = [held](const std::vector<int> &clients,
+                                 const std::vector<uint8_t> &sdrs) {
+            return clients.empty() ||
+                   (held && clients.size() == sdrs.size());
+        };
+        ar.check(clientsFit(sl.inClients, sl.instr->inSdrs) &&
+                     clientsFit(sl.outClients, sl.instr->outSdrs),
+                 "slot SRF clients differ from its instruction");
+    }, static_cast<size_t>(cfg_.scoreboardSlots));
+    ar.vec(done_);
+    ar.check(done_.size() == nInstrs, "done flags differ from the program");
+    ar.i32(reservedAg_);
+    ar.check(agInRange(reservedAg_), "reserved AG out of range");
+    ar.b(issueBusy_);
+    ar.u64(issueBusyUntil_);
+    ar.vec(sdrs_);
+    ar.check(sdrs_.size() == static_cast<size_t>(cfg_.numSdrs),
+             "SDR count differs from the config");
+    ar.list(mars_, [&](Mar &m) { MemorySystem::marState(ar, m); });
+    ar.check(mars_.size() == static_cast<size_t>(cfg_.numMars),
+             "MAR count differs from the config");
+    ar.vec(ucrs_);
+    ar.check(ucrs_.size() == static_cast<size_t>(cfg_.numUcrs),
+             "UCR count differs from the config");
+    // LRU order is meaningful; the list serializes front to back.
+    std::vector<uint16_t> lru(ucodeLru_.begin(), ucodeLru_.end());
+    ar.vec(lru);
+    for (uint16_t id : lru)
+        ar.check(id < kernels_.size(), "resident kernel id out of range");
+    ar.i32(ucodeUsed_);
+    ar.i32(ucodeLoadAg_);
+    ar.check(agInRange(ucodeLoadAg_), "microcode AG out of range");
+    ar.u16(ucodeLoading_);
+    ar.check(ucodeLoadAg_ < 0 || ucodeLoading_ < kernels_.size(),
+             "loading kernel id out of range");
+    ar.i32(ucodeRetries_);
+    ar.e8(idleCause_, IdleCause::Host);
+    if (ar.loading()) {
+        ucodeLru_.assign(lru.begin(), lru.end());
+        countPendingDeps();
+        refreshInFlight();
+        dirty_ = true;
     }
-    done_ = d.vec<uint8_t>();
-    reservedAg_ = d.i32();
-    issueBusy_ = d.b();
-    issueBusyUntil_ = d.u64();
-    sdrs_.assign(d.u64(), Sdr{});
-    for (Sdr &r : sdrs_) {
-        r.srfOffset = d.u32();
-        r.length = d.u32();
-    }
-    mars_.assign(d.u64(), Mar{});
-    for (Mar &m : mars_) {
-        m.baseWord = d.u64();
-        m.mode = static_cast<MarMode>(d.u8());
-        m.strideWords = d.u32();
-        m.recordWords = d.u32();
-    }
-    ucrs_ = d.vec<Word>();
-    ucodeLru_.clear();
-    for (uint64_t i = 0, n = d.u64(); i < n; ++i)
-        ucodeLru_.push_back(d.u16());
-    ucodeUsed_ = d.i32();
-    ucodeLoadAg_ = d.i32();
-    ucodeLoading_ = d.u16();
-    ucodeRetries_ = d.i32();
-    idleCause_ = static_cast<IdleCause>(d.u8());
-    countPendingDeps();
-    refreshInFlight();
-    dirty_ = true;
 }
 
 void

@@ -89,8 +89,7 @@ class StreamController : public Component
     void registerStats(StatsRegistry &reg) override;
     void resetStats() override { stats_ = {}; }
     Cycle nextEventAfter(Cycle now) const override;
-    void saveState(ckpt::Serializer &s) const override;
-    void loadState(ckpt::Deserializer &d) override;
+    void state(ckpt::Archive &ar) override;
 
     /** Current idle-cause classification (valid when clusters idle). */
     IdleCause idleCause() const { return idleCause_; }

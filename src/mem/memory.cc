@@ -1,6 +1,7 @@
 #include "mem/memory.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "ckpt/serializer.hh"
 #include "sim/error.hh"
@@ -11,6 +12,33 @@
 
 namespace imagine
 {
+
+namespace
+{
+
+// Each AG's delivery queue is a min-heap on the ready cycle kept in a
+// plain vector with the std::priority_queue algorithm, so a checkpoint
+// writes and restores its exact layout (and with it the pop order).
+
+template <typename D>
+void
+pushHeap(std::vector<D> &heap, const D &d)
+{
+    heap.push_back(d);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>());
+}
+
+template <typename D>
+D
+popHeap(std::vector<D> &heap)
+{
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    D d = heap.back();
+    heap.pop_back();
+    return d;
+}
+
+} // namespace
 
 void
 MemStats::registerOn(StatsRegistry &reg, const std::string &prefix)
@@ -189,136 +217,76 @@ MemorySystem::dumpHang(HangReport &report) const
         report.queuedDramRequests += ch.queue.size();
 }
 
-namespace
-{
-
-/** Expose a priority_queue's protected underlying container. */
-template <typename Q>
-const typename Q::container_type &
-pqContainer(const Q &q)
-{
-    struct Hack : Q
-    {
-        using Q::c;
-    };
-    return q.*&Hack::c;
-}
-
-} // namespace
-
 void
-MemorySystem::saveState(ckpt::Serializer &s) const
+MemorySystem::marState(ckpt::Archive &ar, Mar &m)
 {
-    s.u64(ags_.size());
-    for (const AgState &st : ags_) {
-        s.b(st.active);
-        s.b(st.isLoad);
-        s.b(st.indexed);
-        s.b(st.sink);
-        s.u64(st.mar.baseWord);
-        s.u8(static_cast<uint8_t>(st.mar.mode));
-        s.u32(st.mar.strideWords);
-        s.u32(st.mar.recordWords);
-        s.i32(st.dataClient);
-        s.i32(st.idxClient);
-        s.u32(st.length);
-        s.u32(st.nextElem);
-        s.u32(st.completed);
-        s.u32(st.curRecord);
-        s.u64(st.curRecordBase);
-        // The heap array verbatim: restoring it element by element
-        // reproduces the identical internal layout (each push's sift-up
-        // terminates immediately on an already-valid heap), so pop
-        // order is bit-identical to the run that wrote it.
-        const std::vector<Delivery> &heap = pqContainer(st.deliveries);
-        s.u64(heap.size());
-        for (const Delivery &del : heap) {
-            s.u64(del.ready);
-            s.u32(del.elem);
-            s.u32(del.data);
-        }
-        s.u64(st.startCycle);
-        s.b(st.faultDetected);
-        s.u64(st.stallUntil);
-    }
-    s.u64(channels_.size());
-    for (const Channel &ch : channels_) {
-        s.u64(ch.queue.size());
-        for (const DramReq &rq : ch.queue) {
-            s.u64(rq.wordAddr);
-            s.u32(rq.elem);
-            s.u8(rq.ag);
-            s.b(rq.isWrite);
-            s.u64(rq.enqueuedMem);
-        }
-        s.u64(ch.banks.size());
-        for (const Bank &bk : ch.banks) {
-            s.i64(bk.openRow);
-            s.u64(bk.nextFreeMem);
-            s.u32(bk.seqHits);
-            s.u64(bk.lastPerChan);
-        }
-        s.u64(ch.busNextFreeMem);
-        s.u32(ch.frontSkips);
-    }
-    s.vec(cacheTags_);
-    space_.saveState(s);
+    ar.u64(m.baseWord);
+    ar.e8(m.mode, MarMode::Indexed);
+    ar.u32(m.strideWords);
+    ar.u32(m.recordWords);
 }
 
 void
-MemorySystem::loadState(ckpt::Deserializer &d)
+MemorySystem::state(ckpt::Archive &ar)
 {
-    ags_.assign(d.u64(), AgState{});
-    for (AgState &st : ags_) {
-        st.active = d.b();
-        st.isLoad = d.b();
-        st.indexed = d.b();
-        st.sink = d.b();
-        st.mar.baseWord = d.u64();
-        st.mar.mode = static_cast<MarMode>(d.u8());
-        st.mar.strideWords = d.u32();
-        st.mar.recordWords = d.u32();
-        st.dataClient = d.i32();
-        st.idxClient = d.i32();
-        st.length = d.u32();
-        st.nextElem = d.u32();
-        st.completed = d.u32();
-        st.curRecord = d.u32();
-        st.curRecordBase = d.u64();
-        for (uint64_t i = 0, n = d.u64(); i < n; ++i) {
-            Delivery del;
-            del.ready = d.u64();
-            del.elem = d.u32();
-            del.data = d.u32();
-            st.deliveries.push(del);
-        }
-        st.startCycle = d.u64();
-        st.faultDetected = d.b();
-        st.stallUntil = d.u64();
-    }
-    channels_.assign(d.u64(), Channel{});
-    for (Channel &ch : channels_) {
-        for (uint64_t i = 0, n = d.u64(); i < n; ++i) {
-            DramReq rq;
-            rq.wordAddr = d.u64();
-            rq.elem = d.u32();
-            rq.ag = d.u8();
-            rq.isWrite = d.b();
-            rq.enqueuedMem = d.u64();
-            ch.queue.push_back(rq);
-        }
-        ch.banks.assign(d.u64(), Bank{});
-        for (Bank &bk : ch.banks) {
-            bk.openRow = d.i64();
-            bk.nextFreeMem = d.u64();
-            bk.seqHits = d.u32();
-            bk.lastPerChan = d.u64();
-        }
-        ch.busNextFreeMem = d.u64();
-        ch.frontSkips = d.u32();
-    }
-    cacheTags_ = d.vec<int64_t>();
-    space_.loadState(d);
+    const size_t nAgs = ags_.size();
+    ar.list(ags_, [&](AgState &st) {
+        ar.b(st.active);
+        ar.b(st.isLoad);
+        ar.b(st.indexed);
+        ar.b(st.sink);
+        marState(ar, st.mar);
+        ar.i32(st.dataClient);
+        ar.i32(st.idxClient);
+        ar.u32(st.length);
+        ar.u32(st.nextElem);
+        ar.u32(st.completed);
+        ar.u32(st.curRecord);
+        ar.u64(st.curRecordBase);
+        // The heap array verbatim, so pop order is bit-identical to the
+        // run that wrote it.
+        ar.vec(st.deliveries);
+        ar.check(std::is_heap(st.deliveries.begin(), st.deliveries.end(),
+                              std::greater<>()) &&
+                     std::all_of(st.deliveries.begin(),
+                                 st.deliveries.end(),
+                                 [&st](const Delivery &d) {
+                                     return d.elem < st.length;
+                                 }),
+                 "delivery queue");
+        ar.u64(st.startCycle);
+        ar.b(st.faultDetected);
+        ar.u64(st.stallUntil);
+    }, nAgs);
+    ar.check(ags_.size() == nAgs, "AG count differs from the config");
+    const size_t nBanks = channels_.front().banks.size();
+    ar.list(channels_, [&](Channel &ch) {
+        ar.list(ch.queue, [&](DramReq &rq) {
+            ar.u64(rq.wordAddr);
+            ar.u32(rq.elem);
+            ar.u8(rq.ag);
+            ar.check(rq.ag < nAgs && rq.elem < ags_[rq.ag].length,
+                     "DRAM request out of range");
+            ar.b(rq.isWrite);
+            ar.u64(rq.enqueuedMem);
+        });
+        ar.list(ch.banks, [&](Bank &bk) {
+            ar.i64(bk.openRow);
+            ar.u64(bk.nextFreeMem);
+            ar.u32(bk.seqHits);
+            ar.u64(bk.lastPerChan);
+        }, nBanks);
+        ar.check(ch.banks.size() == nBanks,
+                 "bank count differs from the config");
+        ar.u64(ch.busNextFreeMem);
+        ar.u32(ch.frontSkips);
+    }, channels_.size());
+    ar.check(channels_.size() == static_cast<size_t>(cfg_.numChannels),
+             "channel count differs from the config");
+    ar.vec(cacheTags_);
+    ar.check(cacheTags_.size() == static_cast<size_t>(cfg_.mcCacheWords),
+             "cache size differs from the config");
+    space_.state(ar);
 }
 
 void
@@ -365,8 +333,8 @@ MemorySystem::issueAccess(AgState &st, int agIdx, Addr addr, uint32_t elem,
         size_t slot = addr % cacheTags_.size();
         if (cacheTags_[slot] == static_cast<int64_t>(addr)) {
             ++stats_.cacheHits;
-            st.deliveries.push({now + cfg_.mcPipelineCycles, elem,
-                                space_.readWord(addr)});
+            pushHeap(st.deliveries, {now + cfg_.mcPipelineCycles, elem,
+                                     space_.readWord(addr)});
             return;
         }
         cacheTags_[slot] = static_cast<int64_t>(addr);
@@ -546,7 +514,7 @@ MemorySystem::tickChannels(uint64_t memCycle)
                     st.faultDetected = true;
             }
         }
-        st.deliveries.push({readyCore, req.elem, data});
+        pushHeap(st.deliveries, {readyCore, req.elem, data});
     }
 }
 
@@ -562,9 +530,8 @@ MemorySystem::tick(Cycle now)
             continue;
         generate(static_cast<int>(ag), now);
         while (!st.deliveries.empty() &&
-               st.deliveries.top().ready <= now) {
-            Delivery d = st.deliveries.top();
-            st.deliveries.pop();
+               st.deliveries.front().ready <= now) {
+            Delivery d = popHeap(st.deliveries);
             if (st.isLoad && !st.sink) {
                 srf_.outProduce(st.dataClient, d.elem, d.data);
                 ++stats_.wordsLoaded;
@@ -599,7 +566,7 @@ MemorySystem::nextEventAfter(Cycle now) const
         if (!st.active)
             continue;
         if (!st.deliveries.empty())
-            h = std::min(h, std::max(now + 1, st.deliveries.top().ready));
+            h = std::min(h, std::max(now + 1, st.deliveries.front().ready));
         if (st.nextElem >= st.length)
             continue;
         // An armed AG-stall site rolls the RNG on every unstalled

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <vector>
 
 #include "isa/stream.hh"
@@ -92,8 +91,10 @@ class MemorySystem : public Component
     void registerStats(StatsRegistry &reg) override;
     void resetStats() override { stats_ = {}; }
     Cycle nextEventAfter(Cycle now) const override;
-    void saveState(ckpt::Serializer &s) const override;
-    void loadState(ckpt::Deserializer &d) override;
+    void state(ckpt::Archive &ar) override;
+    /** A MAR's checkpoint fields (shared with the stream controller's
+     *  MAR file). */
+    static void marState(ckpt::Archive &ar, Mar &m);
 
     // --- resilience -----------------------------------------------------
     /** Attach a fault injector (null = no injection; the default). */
@@ -170,8 +171,9 @@ class MemorySystem : public Component
         uint32_t completed = 0;     ///< words fully transferred
         uint32_t curRecord = UINT32_MAX;
         Addr curRecordBase = 0;
-        std::priority_queue<Delivery, std::vector<Delivery>,
-                            std::greater<Delivery>> deliveries;
+        /** Pending word deliveries, a min-heap on ready (see
+         *  memory.cc's pushHeap/popHeap). */
+        std::vector<Delivery> deliveries;
         Cycle startCycle = 0;
         bool faultDetected = false; ///< DRAM parity hit on this op
         Cycle stallUntil = 0;       ///< injected AG stall burst end

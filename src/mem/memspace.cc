@@ -62,31 +62,20 @@ MemorySpace::readWords(Addr wordAddr, size_t count) const
 }
 
 void
-MemorySpace::saveState(ckpt::Serializer &s) const
+MemorySpace::state(ckpt::Archive &ar)
 {
-    uint64_t n = 0;
-    for (const Page &p : pages_)
-        n += !p.empty();
-    s.u64(n);
-    for (Addr idx = 0; idx < numPages; ++idx) {
-        if (pages_[idx].empty())
-            continue;
-        s.u64(idx);
-        s.vec(pages_[idx]);
-    }
-}
-
-void
-MemorySpace::loadState(ckpt::Deserializer &d)
-{
-    pages_.assign(numPages, Page{});
-    for (uint64_t i = 0, n = d.u64(); i < n; ++i) {
-        Addr idx = d.u64();
-        if (idx >= numPages)
-            IMAGINE_FATAL("checkpoint: memory page %llu out of range",
-                          static_cast<unsigned long long>(idx));
-        pages_[idx] = d.vec<Word>();
-    }
+    std::vector<Addr> touched;
+    for (Addr idx = 0; idx < numPages; ++idx)
+        if (!pages_[idx].empty())
+            touched.push_back(idx);
+    if (ar.loading())
+        pages_.assign(numPages, Page{});
+    ar.list(touched, [&](Addr &idx) {
+        ar.u64(idx);
+        ar.check(idx < numPages, "memory page out of range");
+        ar.vec(pages_[idx]);
+        ar.check(pages_[idx].size() == pageWords, "memory page size");
+    }, numPages);
 }
 
 } // namespace imagine

@@ -18,8 +18,7 @@ namespace imagine
 
 namespace ckpt
 {
-class Serializer;
-class Deserializer;
+class Archive;
 } // namespace ckpt
 
 /** Lazily-paged word-addressable memory image. */
@@ -43,8 +42,7 @@ class MemorySpace
      * Checkpoint every allocated page in page-index order.  Restore
      * replaces the full page set.
      */
-    void saveState(ckpt::Serializer &s) const;
-    void loadState(ckpt::Deserializer &d);
+    void state(ckpt::Archive &ar);
 
   private:
     static constexpr Addr pageWords = 1 << 16;

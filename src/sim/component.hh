@@ -27,8 +27,7 @@ namespace imagine
 class StatsRegistry;
 namespace ckpt
 {
-class Serializer;
-class Deserializer;
+class Archive;
 } // namespace ckpt
 
 /** Horizon value meaning "no self-generated event, ever". */
@@ -77,20 +76,20 @@ class Component
 
     // --- checkpoint/restore (DESIGN.md section 11) ---------------------
     /**
-     * Serialize all architectural and engine state into the current
-     * checkpoint section.  Counters registered on the StatsRegistry are
-     * captured centrally by the engine, not here; everything else a
-     * resumed run reads must be written, in a fixed field order that
-     * loadState() mirrors exactly.
+     * Save or restore all architectural and engine state through the
+     * current checkpoint section: each field is named once, and the
+     * archive writes it or reads it back.  Counters registered on the
+     * StatsRegistry are captured centrally by the engine, not here;
+     * everything else a resumed run reads must be covered.  A restore
+     * runs on an identically-configured component after the engine has
+     * replayed session setup (program load, kernel registration), and
+     * overlays the mid-run state so the next tick() continues
+     * bit-identically.  On load, every count, index, size and
+     * enumerator that later code dereferences or switches on is checked
+     * against the session's shape (ckpt::Archive::check), so a corrupt
+     * snapshot fails as SimError(Fatal) instead of crashing.
      */
-    virtual void saveState(ckpt::Serializer &s) const = 0;
-    /**
-     * Restore state written by saveState() on an identically-configured
-     * component.  The engine has already replayed session setup
-     * (program load, kernel registration); loadState() overlays the
-     * mid-run state so the next tick() continues bit-identically.
-     */
-    virtual void loadState(ckpt::Deserializer &d) = 0;
+    virtual void state(ckpt::Archive &ar) = 0;
 
   protected:
     Component() = default;

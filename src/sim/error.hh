@@ -24,6 +24,11 @@
 namespace imagine
 {
 
+namespace ckpt
+{
+class Archive;
+} // namespace ckpt
+
 /** Why the simulator gave up. */
 enum class SimErrorKind : uint8_t
 {
@@ -93,6 +98,14 @@ struct HangReport
 
     /** Multi-line human-readable dump. */
     std::string describe() const;
+    /**
+     * Save or restore every field through a checkpoint archive: crash
+     * snapshots carry the structured diagnostics of the failure that
+     * produced them (the "report" section, DESIGN.md section 11), so a
+     * wedged chaos run is debuggable from its on-disk artifacts alone.
+     * The round trip is exact (tests/error_test.cc).
+     */
+    void state(ckpt::Archive &ar);
 };
 
 /**

@@ -1,5 +1,8 @@
 #include "sim/fault.hh"
 
+#include <algorithm>
+#include <cstring>
+
 #include "ckpt/serializer.hh"
 #include "sim/stats.hh"
 
@@ -50,7 +53,16 @@ FaultInjector::record(FaultSite site, FaultOutcome outcome,
       case FaultOutcome::Silent: ++stats_.silent; break;
       case FaultOutcome::Perf: ++stats_.perfOnly; break;
     }
-    trace_.push_back({trace_.size(), site, outcome, where, mask});
+    // Checkpoints write the trace as raw bytes: zero the padding so
+    // they never carry indeterminate stack bytes.
+    FaultEvent e;
+    std::memset(static_cast<void *>(&e), 0, sizeof(e));
+    e.ordinal = trace_.size();
+    e.site = site;
+    e.outcome = outcome;
+    e.where = where;
+    e.mask = mask;
+    trace_.push_back(e);
 }
 
 FaultInjector::Flip
@@ -119,19 +131,15 @@ FaultInjector::onSlotCompletion(uint32_t instrIdx)
 }
 
 void
-FaultInjector::saveState(ckpt::Serializer &s) const
-{
-    s.bytes(rng_.state(), 4 * sizeof(uint32_t));
-    s.vec(trace_);
-}
-
-void
-FaultInjector::loadState(ckpt::Deserializer &d)
+FaultInjector::state(ckpt::Archive &ar)
 {
     uint32_t st[4];
-    d.bytes(st, sizeof(st));
-    rng_.setState(st);
-    trace_ = d.vec<FaultEvent>();
+    std::copy_n(rng_.state(), 4, st);
+    for (uint32_t &w : st)
+        ar.u32(w);
+    if (ar.loading())
+        rng_.setState(st);
+    ar.vec(trace_);
 }
 
 int

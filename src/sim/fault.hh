@@ -47,8 +47,7 @@ namespace imagine
 class StatsRegistry;
 namespace ckpt
 {
-class Serializer;
-class Deserializer;
+class Archive;
 } // namespace ckpt
 
 /** Where a fault was injected. */
@@ -153,8 +152,7 @@ class FaultInjector
      * counters are all registered, so the engine restores them
      * centrally through StatsRegistry::restore.
      */
-    void saveState(ckpt::Serializer &s) const;
-    void loadState(ckpt::Deserializer &d);
+    void state(ckpt::Archive &ar);
 
   private:
     /** One uniform draw; compares against an injection rate. */

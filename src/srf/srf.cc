@@ -619,49 +619,44 @@ Srf::skipIdle(Cycle, uint64_t span)
 }
 
 void
-Srf::saveState(ckpt::Serializer &s) const
+Srf::state(ckpt::Archive &ar)
 {
-    s.vec(data_);
+    ar.vec(data_);
+    ar.check(data_.size() == size_, "SRF size differs from the config");
     // The full client vector, inactive slots included: handles are
     // indices into it and the arbiter cursor wraps on its size.
-    s.u64(clients_.size());
-    for (const Client &c : clients_) {
-        s.b(c.active);
-        s.b(c.isIn);
-        s.u32(c.offset);
-        s.u32(c.length);
-        s.u32(c.base);
-        s.u32(c.fetched);
-        s.u32(c.produced);
-        s.vec(c.window);
-        s.u32(c.windowWords);
-        s.b(c.faulted);
-        s.b(c.movable);
-    }
-    s.i32(movableCount_);
-    s.u64(rrNext_);
-}
-
-void
-Srf::loadState(ckpt::Deserializer &d)
-{
-    data_ = d.vec<Word>();
-    clients_.assign(d.u64(), Client{});
+    ar.list(clients_, [&](Client &c) {
+        ar.b(c.active);
+        ar.b(c.isIn);
+        ar.u32(c.offset);
+        ar.u32(c.length);
+        ar.check(uint64_t{c.offset} + c.length <= size_,
+                 "client stream exceeds the SRF");
+        ar.u32(c.base);
+        ar.u32(c.fetched);
+        ar.u32(c.produced);
+        ar.check(c.base <= c.length && c.fetched <= c.length &&
+                     c.produced <= c.length,
+                 "client cursor past its stream");
+        ar.vec(c.window);
+        ar.u32(c.windowWords);
+        ar.check(!c.active || (c.windowWords > 0 &&
+                               c.window.size() == c.windowWords),
+                 "client window size");
+        ar.b(c.faulted);
+        ar.b(c.movable);
+    });
+    ar.i32(movableCount_);
+    ar.u64(rrNext_);
+    if (!ar.loading())
+        return;
+    // The movable flags and their count are derived from the client
+    // fields: recompute them rather than trust the file.
+    movableCount_ = 0;
     for (Client &c : clients_) {
-        c.active = d.b();
-        c.isIn = d.b();
-        c.offset = d.u32();
-        c.length = d.u32();
-        c.base = d.u32();
-        c.fetched = d.u32();
-        c.produced = d.u32();
-        c.window = d.vec<uint8_t>();
-        c.windowWords = d.u32();
-        c.faulted = d.b();
-        c.movable = d.b();
+        c.movable = false;
+        updateMovable(c);
     }
-    movableCount_ = d.i32();
-    rrNext_ = d.u64();
 }
 
 } // namespace imagine

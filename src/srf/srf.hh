@@ -208,8 +208,7 @@ class Srf : public Component
     void resetStats() override { stats_ = {}; }
     Cycle nextEventAfter(Cycle now) const override;
     void skipIdle(Cycle from, uint64_t span) override;
-    void saveState(ckpt::Serializer &s) const override;
-    void loadState(ckpt::Deserializer &d) override;
+    void state(ckpt::Archive &ar) override;
 
     /** True when every produced word has drained into the array. */
     bool outDrained(int client) const;

@@ -9,22 +9,26 @@
  * snapshot finishes with the same byte-identical RunResult - including
  * runs that end in a SimError, which must re-raise the same kind and
  * message.  Plus: serializer primitives round-trip, version-skewed
- * images and mismatched restores are rejected, and the bisect search pinpoints an injected fault's
- * divergence interval deterministically (cross-checked against a
- * linear scan).
+ * images and mismatched restores are rejected, corrupted snapshots fail
+ * as SimError (never a signal or a foreign exception), and the bisect
+ * search pinpoints an injected fault's divergence interval
+ * deterministically (cross-checked against a linear scan).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "apps/apps.hh"
 #include "ckpt/bisect.hh"
 #include "ckpt/serializer.hh"
+#include "sim/rng.hh"
 #include "sim/runner.hh"
 
 using namespace imagine;
@@ -613,6 +617,280 @@ TEST(CkptTest, BisectPinpointsInjectedFaultDeterministically)
         first = faultySnaps.size() + 1;    // diverged by ending early
     EXPECT_EQ(r1.interval, first);
 
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+}
+
+namespace
+{
+
+/** The small DEPTH shape every corruption test snapshots. */
+AppResult
+smallDepth(ImagineSystem &sys)
+{
+    DepthConfig cfg;
+    cfg.width = 128;
+    cfg.height = 42;
+    cfg.disparities = 4;
+    return runDepth(sys, cfg);
+}
+
+/** Reassemble a checkpoint file from (possibly rewritten) sections. */
+void
+writeSections(const std::vector<ckpt::RawSection> &secs,
+              const std::string &path)
+{
+    ckpt::Serializer s;
+    for (const ckpt::RawSection &sec : secs) {
+        s.section(sec.name);
+        s.bytes(sec.payload.data(), sec.payload.size());
+    }
+    s.writeFile(path);
+}
+
+std::vector<uint8_t> &
+payloadOf(std::vector<ckpt::RawSection> &secs, const std::string &name)
+{
+    for (ckpt::RawSection &sec : secs)
+        if (sec.name == name)
+            return sec.payload;
+    throw std::runtime_error("no section " + name);
+}
+
+/** Walks a section payload field by field (host-endian, as written). */
+struct Cursor
+{
+    std::vector<uint8_t> &p;
+    size_t at = 0;
+
+    template <typename T>
+    T
+    get()
+    {
+        T v;
+        std::memcpy(&v, p.data() + at, sizeof(v));
+        at += sizeof(v);
+        return v;
+    }
+    template <typename T>
+    void
+    put(size_t off, T v)
+    {
+        std::memcpy(p.data() + off, &v, sizeof(v));
+    }
+    /** Skip a length-prefixed vector of @p elem-byte elements. */
+    void skipVec(size_t elem) { at += get<uint64_t>() * elem; }
+};
+
+/** Offset of the sc section's done_ vector (after the slot list). */
+size_t
+scDoneOffset(std::vector<uint8_t> &sc)
+{
+    Cursor c{sc};
+    for (uint64_t i = 0, n = c.get<uint64_t>(); i < n; ++i) {
+        c.at += 4 + 1 + 8 + 4 + 4 + 1;     // idx .. inPlace
+        c.skipVec(sizeof(int));             // inClients
+        c.skipVec(sizeof(int));             // outClients
+    }
+    return c.at;
+}
+
+/** Offset of the first active SRF client's windowWords, or 0. */
+size_t
+srfActiveWindowWordsOffset(std::vector<uint8_t> &srf)
+{
+    Cursor c{srf};
+    c.skipVec(sizeof(Word));                // data_
+    for (uint64_t i = 0, n = c.get<uint64_t>(); i < n; ++i) {
+        bool active = c.get<uint8_t>() != 0;
+        c.at += 1 + 5 * 4;                  // isIn, offset .. produced
+        c.skipVec(1);                       // window
+        if (active)
+            return c.at;
+        c.at += 4 + 1 + 1;                  // windowWords, flags
+    }
+    return 0;
+}
+
+/**
+ * Archive DEPTH's periodic snapshots under @p cfg (every 5 000 cycles)
+ * and return the first one that has a busy scoreboard slot and an open
+ * SRF client, so every component section carries mid-flight state.
+ */
+std::string
+busyDepthSnapshot(MachineConfig cfg, const fs::path &dir)
+{
+    cfg.checkpointEveryCycles = 5'000;
+    cfg.checkpointPath = (dir / "live.ckpt").string();
+    std::string found;
+    ImagineSystem sys(cfg);
+    sys.setCheckpointHook([&](Cycle, const std::string &p) {
+        if (!found.empty())
+            return;
+        std::vector<ckpt::RawSection> secs = ckpt::readSections(p);
+        if (Cursor{payloadOf(secs, "sc")}.get<uint64_t>() == 0 ||
+            srfActiveWindowWordsOffset(payloadOf(secs, "srf")) == 0)
+            return;
+        found = (dir / "busy.ckpt").string();
+        fs::copy_file(p, found, fs::copy_options::overwrite_existing);
+    });
+    smallDepth(sys);
+    return found;
+}
+
+} // namespace
+
+/**
+ * Rewriting one field of a real mid-run DEPTH snapshot must fail the
+ * restore with SimError(Fatal) "checkpoint: ...".  Before the loaders
+ * checked what they read, these cases crashed (SIGSEGV on a slot
+ * index, SIGFPE on a zero SRF window), threw std::bad_alloc (huge slot
+ * or AG counts) or silently finished a truncated run (host position).
+ */
+TEST(CkptTest, CorruptSnapshotIsRejected)
+{
+    fs::path dir = fs::temp_directory_path() / "imagine_ckpt_corrupt";
+    fs::create_directories(dir);
+    const MachineConfig cfg = MachineConfig::devBoard();
+    const std::string snap = busyDepthSnapshot(cfg, dir);
+    ASSERT_FALSE(snap.empty()) << "no snapshot with a busy slot";
+
+    using Edit = std::function<void(std::vector<ckpt::RawSection> &)>;
+    const std::pair<const char *, Edit> cases[] = {
+        {"host next_ = 2^33",
+         [](auto &secs) {
+             Cursor{payloadOf(secs, "host")}.put<uint64_t>(0, 1ull << 33);
+         }},
+        {"sc slot idx = 2^31-1",
+         [](auto &secs) {
+             Cursor{payloadOf(secs, "sc")}.put<uint32_t>(8, 0x7fffffffu);
+         }},
+        {"sc slot count = 2^40",
+         [](auto &secs) {
+             Cursor{payloadOf(secs, "sc")}.put<uint64_t>(0, 1ull << 40);
+         }},
+        {"sc done_ one short",
+         [](auto &secs) {
+             std::vector<uint8_t> &sc = payloadOf(secs, "sc");
+             size_t off = scDoneOffset(sc);
+             Cursor c{sc, off};
+             uint64_t n = c.get<uint64_t>();
+             c.put<uint64_t>(off, n - 1);
+             sc.erase(sc.begin() + static_cast<std::ptrdiff_t>(c.at));
+         }},
+        {"mem AG count = 2^40",
+         [](auto &secs) {
+             Cursor{payloadOf(secs, "mem")}.put<uint64_t>(0, 1ull << 40);
+         }},
+        {"srf windowWords = 0",
+         [](auto &secs) {
+             std::vector<uint8_t> &srf = payloadOf(secs, "srf");
+             Cursor{srf}.put<uint32_t>(srfActiveWindowWordsOffset(srf), 0);
+         }},
+    };
+    const std::string bad = (dir / "bad.ckpt").string();
+    for (const auto &[what, edit] : cases) {
+        std::vector<ckpt::RawSection> secs = ckpt::readSections(snap);
+        edit(secs);
+        writeSections(secs, bad);
+        MachineConfig rc = cfg;
+        rc.restorePath = bad;
+        ImagineSystem sys(rc);
+        try {
+            smallDepth(sys);
+            ADD_FAILURE() << what << ": corrupt snapshot restored";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::Fatal) << what;
+            EXPECT_EQ(std::string(e.what()).rfind("checkpoint: ", 0), 0u)
+                << what << ": " << e.what();
+        }
+    }
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+}
+
+/**
+ * Seeded bit-flip sweep over a busy chaos DEPTH snapshot: every
+ * section takes an equal share of the flips (the page data in "mem"
+ * and the SRF array would otherwise absorb nearly all of them), and
+ * every restore must end in a RunResult or a SimError - never a
+ * signal, a foreign exception or a sanitizer report.  The budget is
+ * IMAGINE_CKPT_FLIPS (default 160); the nightly CI job raises it under
+ * the sanitize preset, and then names each flip on stderr before its
+ * restore.  Flips that once escaped the loader are pinned in the list
+ * below and always replayed.
+ */
+TEST(CkptTest, BitFlippedSnapshotsFailCleanly)
+{
+    fs::path dir = fs::temp_directory_path() / "imagine_ckpt_flips";
+    fs::create_directories(dir);
+    MachineConfig cfg = MachineConfig::devBoard();
+    cfg.faults.enabled = true;
+    cfg.faults.seed = 0xf11b5ull;
+    cfg.faults.srfFlipRate = 1e-4;
+    cfg.faults.dramFlipRate = 1e-4;
+    cfg.faults.agStallRate = 1e-3;
+    cfg.faults.agStallBurstCycles = 32;
+    cfg.faults.srfEcc = EccMode::Secded;
+    cfg.faults.memEcc = EccMode::Secded;
+    cfg.watchdogStagnationCycles = 20'000;
+    const std::string snap = busyDepthSnapshot(cfg, dir);
+    ASSERT_FALSE(snap.empty()) << "no snapshot with a busy slot";
+    const std::vector<ckpt::RawSection> clean = ckpt::readSections(snap);
+
+    struct Flip
+    {
+        std::string section;
+        size_t offset;
+        int bit;
+    };
+    // Flips the sweep caught escaping as std::bad_alloc or
+    // std::length_error before the loaders checked counts and the
+    // run's fault-trace mark.
+    std::vector<Flip> flips = {
+        {"run", 26, 6}, {"sc", 4, 6}, {"sc", 6, 0}, {"sc", 1546, 7},
+    };
+    const char *env = std::getenv("IMAGINE_CKPT_FLIPS");
+    const uint64_t budget = env ? std::strtoull(env, nullptr, 10) : 160;
+    Rng rng(0xc4c3f1b5ull);
+    for (uint64_t i = 0; i < budget; ++i) {
+        const ckpt::RawSection &sec = clean[i % clean.size()];
+        if (sec.payload.empty())
+            continue;
+        flips.push_back(
+            {sec.name,
+             static_cast<size_t>(rng.next() % sec.payload.size()),
+             static_cast<int>(rng.below(8))});
+    }
+
+    const std::string bad = (dir / "flipped.ckpt").string();
+    int errors = 0, completed = 0;
+    for (const Flip &f : flips) {
+        std::vector<ckpt::RawSection> secs = clean;
+        payloadOf(secs, f.section).at(f.offset) ^=
+            static_cast<uint8_t>(1u << f.bit);
+        writeSections(secs, bad);
+        MachineConfig rc = cfg;
+        rc.restorePath = bad;
+        const std::string where = f.section + "+" +
+                                  std::to_string(f.offset) + " bit " +
+                                  std::to_string(f.bit);
+        // A signal ends the process: the enlarged sweep names each flip
+        // first, so the one that crashed can be pinned above.
+        if (env)
+            std::fprintf(stderr, "flip %s\n", where.c_str());
+        try {
+            ImagineSystem sys(rc);
+            smallDepth(sys).run.toJson();
+            ++completed;
+        } catch (const SimError &) {
+            ++errors;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << where << ": non-SimError exception: "
+                          << e.what();
+        }
+    }
+    EXPECT_EQ(static_cast<size_t>(errors + completed), flips.size());
     std::error_code ec;
     fs::remove_all(dir, ec);
 }

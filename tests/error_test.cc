@@ -13,7 +13,6 @@
 #include <optional>
 #include <string>
 
-#include "ckpt/report.hh"
 #include "ckpt/serializer.hh"
 #include "core/system.hh"
 
@@ -159,11 +158,15 @@ TEST(ErrorReportTest, HangReportSerializationRoundTrip)
     hr.clusterKernelCycles = 777;
 
     ckpt::Serializer s;
-    s.section("report");
-    ckpt::saveHangReport(s, hr);
+    ckpt::Archive out(s);
+    out.section("report");
+    HangReport written = hr;
+    written.state(out);
     ckpt::Deserializer d(s.finish());
-    d.section("report");
-    HangReport back = ckpt::loadHangReport(d);
+    ckpt::Archive in(d);
+    in.section("report");
+    HangReport back;
+    back.state(in);
     expectReportsEqual(hr, back);
 }
 
@@ -199,7 +202,9 @@ TEST(ErrorReportTest, CrashSnapshotCarriesTheError)
     EXPECT_EQ(static_cast<SimErrorKind>(d.u8()), SimErrorKind::Hang);
     EXPECT_EQ(d.str(), caught->what());
     ASSERT_TRUE(d.b());
-    HangReport back = ckpt::loadHangReport(d);
+    HangReport back;
+    ckpt::Archive in(d);
+    back.state(in);
     expectReportsEqual(*caught->hangReport(), back);
 
     // The crash file is also a regular checkpoint: all the
